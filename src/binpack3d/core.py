@@ -37,6 +37,15 @@ def mirror_relpos(q: int) -> int:
     return (q + 2) % 6 + 1
 
 
+def _require_ints(obj, names: tuple[str, ...], owner: str) -> None:
+    """ValueError for the first named field of obj that is not an int (bools
+    are rejected too: they are ints to Python but not to a JSON reader)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{owner}{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Item:
     """One rigid box: integer dims, weight and a small category id."""
@@ -49,6 +58,7 @@ class Item:
     category: int = 0
 
     def __post_init__(self) -> None:
+        _require_ints(self, ("index", "l", "w", "h", "mu", "category"), f"item {self.index}: ")
         if self.index < 0:
             raise ValueError(f"item index must be >= 0, got {self.index}")
         if min(self.l, self.w, self.h) < 1:
@@ -78,6 +88,9 @@ class BinSpec:
     n: int = 1
 
     def __post_init__(self) -> None:
+        _require_ints(self, ("L", "W", "H", "n"), "bin ")
+        if self.max_weight is not None:
+            _require_ints(self, ("max_weight",), "bin ")
         if min(self.L, self.W, self.H) < 1:
             raise ValueError("bin dims must be >= 1")
         if self.max_weight is not None and self.max_weight < 1:
@@ -212,6 +225,66 @@ def load_bearing_avoid(items: Iterable[Item], eta: Rational) -> set[tuple[int, i
             if Fraction(a.mu, b.mu) > eta:
                 out.add((a.index, b.index, 6))  # forbid i above k
     return out
+
+
+def positive_groups(affinities: Affinities) -> dict[int, int]:
+    """Category -> representative of its positive-affinity component, for
+    every category in a positive pair; one component must share one bin."""
+    parent: dict[int, int] = {}
+
+    def find(c: int) -> int:
+        parent.setdefault(c, c)
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for a, b in sorted(affinities.positive):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return {c: find(c) for c in parent}
+
+
+def separation_mask(p0: tuple[int, int, int], d0: tuple[int, int, int],
+                    p1: tuple[int, int, int], d1: tuple[int, int, int]) -> int:
+    """Bit q is set when box 0 (corner p0, dims d0) takes relative position q
+    to box 1 in the same bin; 0 means the boxes overlap."""
+    mask = 0
+    if p0[0] + d0[0] <= p1[0]:
+        mask |= 1 << 1
+    if p0[1] + d0[1] <= p1[1]:
+        mask |= 1 << 2
+    if p0[2] + d0[2] <= p1[2]:
+        mask |= 1 << 3
+    if p1[0] + d1[0] <= p0[0]:
+        mask |= 1 << 4
+    if p1[1] + d1[1] <= p0[1]:
+        mask |= 1 << 5
+    if p1[2] + d1[2] <= p0[2]:
+        mask |= 1 << 6
+    return mask
+
+
+def relpos_masks(instance: Instance
+                 ) -> tuple[dict[tuple[int, int], tuple[int, int]], frozenset[int]]:
+    """The avoid and favour triples as one table (i, k) -> (allowed, required)
+    over i < k, plus the items that appear in any pair.
+
+    Two boxes of a pair sharing a bin, with separation_mask(i's box, k's box)
+    = mask, satisfy their triples when mask & allowed is nonzero (a position
+    that is not avoided holds) and mask & required == required (every
+    favoured position holds).
+    """
+    table: dict[tuple[int, int], tuple[int, int]] = {}
+    all_bits = sum(1 << q for q in RELPOS)
+    for i, k, q in instance.relpos_avoid:
+        allowed, required = table.get((i, k), (all_bits, 0))
+        table[(i, k)] = (allowed & ~(1 << q), required)
+    for i, k, q in instance.relpos_favour:
+        allowed, required = table.get((i, k), (all_bits, 0))
+        table[(i, k)] = (allowed, required | 1 << q)
+    return table, frozenset(i for pair in table for i in pair)
 
 
 def nonredundant_orientations(item: Item) -> frozenset[int]:

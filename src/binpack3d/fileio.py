@@ -9,6 +9,7 @@ Unknown keys are rejected on parse.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -56,6 +57,20 @@ def _require_keys(doc: dict, allowed: set[str], required: set[str], what: str) -
     missing = required - set(doc)
     if missing:
         raise ValueError(f"{what}: missing keys {sorted(missing)}")
+
+
+def _int_tuples(entries, arity: int, what: str) -> frozenset[tuple[int, ...]]:
+    """A JSON list of integer lists, each of length arity, as a set of tuples."""
+    if not isinstance(entries, list):
+        raise ValueError(f"{what} must be a list, got {entries!r}")
+    out = set()
+    for entry in entries:
+        # JSON numbers parse to int, float or bool; only int is accepted
+        if (not isinstance(entry, list) or len(entry) != arity
+                or not all(type(v) is int for v in entry)):
+            raise ValueError(f"{what}: expected lists of {arity} integers, got {entry!r}")
+        out.add(tuple(entry))
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -110,15 +125,18 @@ def instance_from_dict(doc: dict) -> Instance:
     _require_keys(aff_doc, {"positive", "negative"}, {"positive", "negative"},
                   "instance.affinities")
     affinities = Affinities(
-        positive=frozenset(tuple(p) for p in aff_doc["positive"]),
-        negative=frozenset(tuple(p) for p in aff_doc["negative"]),
+        positive=_int_tuples(aff_doc["positive"], 2, "affinities.positive"),
+        negative=_int_tuples(aff_doc["negative"], 2, "affinities.negative"),
     )
     rel_doc = doc["relpos"]
     _require_keys(rel_doc, {"avoid", "favour"}, {"avoid", "favour"}, "instance.relpos")
+    # checks the bin fields before the default bin count computes with them
+    bin_spec = BinSpec(L=bin_doc["L"], W=bin_doc["W"], H=bin_doc["H"],
+                       max_weight=bin_doc.get("M"))
     n = bin_doc.get("n")
     if n is None:
-        n = default_bin_count(items, bin_doc["L"], bin_doc["W"], bin_doc["H"],
-                              bin_doc.get("M"))
+        n = default_bin_count(items, bin_spec.L, bin_spec.W, bin_spec.H,
+                              bin_spec.max_weight)
     eta = rational_from_json(doc["eta"]) if "eta" in doc else None
     com = None
     if "com_target" in doc:
@@ -127,13 +145,12 @@ def instance_from_dict(doc: dict) -> Instance:
             raise ValueError("com_target must be a [L~, W~] pair")
     return Instance(
         items=tuple(items),
-        bin=BinSpec(L=bin_doc["L"], W=bin_doc["W"], H=bin_doc["H"],
-                    max_weight=bin_doc.get("M"), n=n),
+        bin=replace(bin_spec, n=n),
         affinities=affinities,
         eta=eta,
         com_target=com,
-        relpos_avoid=frozenset(tuple(t) for t in rel_doc["avoid"]),
-        relpos_favour=frozenset(tuple(t) for t in rel_doc["favour"]),
+        relpos_avoid=_int_tuples(rel_doc["avoid"], 3, "relpos.avoid"),
+        relpos_favour=_int_tuples(rel_doc["favour"], 3, "relpos.favour"),
     )
 
 

@@ -9,6 +9,7 @@ the final word when objectives are computed.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -20,13 +21,20 @@ from ..core import (
     Placement,
     allowed_orientations,
     effective_dims,
+    positive_groups,
+    relpos_masks,
+    separation_mask,
 )
 from ..validate import objectives
 from .config import SolveResult, SolverConfig, mix_seed, solution_energy
 
 
 class _Ctx:
-    """Instance data predigested for fast placement checks."""
+    """Instance data predigested for fast placement checks.
+
+    Tails are exact integers: an item's share of the weighted (o2, o3) tail
+    times the common denominator D, so scoring needs no Fraction arithmetic.
+    """
 
     def __init__(self, instance: Instance, weights) -> None:
         self.inst = instance
@@ -34,7 +42,7 @@ class _Ctx:
         self.n = instance.bin.n
         self.m = instance.m
         self.max_weight = instance.bin.max_weight
-        self.w1, self.w2, self.w3 = (Fraction(w) for w in weights)
+        self.w1, w2, w3 = (Fraction(w) for w in weights)
         self.orients = {
             it.index: tuple((k, effective_dims(it, k))
                             for k in sorted(allowed_orientations(it)))
@@ -44,35 +52,32 @@ class _Ctx:
         self.cat = {it.index: it.category for it in instance.items}
         self.neg = instance.affinities.negative
         # categories joined by positive affinities must share one bin
-        parent: dict[int, int] = {}
+        self.group = positive_groups(instance.affinities)
+        self.relpos, self.relpos_items = relpos_masks(instance)
+        # tail = w2 (z + c) / (m H) + w3 (|cx - lt| / (m L) + |cy - wt| / (m W)),
+        # where cx = (2x + a) / 2 and lt = px / (2 qx) with qx the denominator
+        # of 2 lt, so |cx - lt| / (m L) = |(2x + a) qx - px| / (2 m L qx);
+        # likewise for y. D clears the denominators of the three rates.
+        rate_z = w2 / (self.m * self.H)
+        self.D = rate_z.denominator
+        self.com = None
+        if instance.com_target is not None and w3 != 0:
+            lt, wt = instance.com_target
+            qx, qy = (2 * lt).denominator, (2 * wt).denominator
+            rate_x = w3 / (2 * self.m * self.L * qx)
+            rate_y = w3 / (2 * self.m * self.W * qy)
+            self.D = math.lcm(self.D, rate_x.denominator, rate_y.denominator)
+            self.com = (qx, int(2 * lt * qx), int(rate_x * self.D),
+                        qy, int(2 * wt * qy), int(rate_y * self.D))
+        self.cz = int(rate_z * self.D)
 
-        def find(c: int) -> int:
-            parent.setdefault(c, c)
-            while parent[c] != c:
-                parent[c] = parent[parent[c]]
-                c = parent[c]
-            return c
-
-        for a, b in sorted(instance.affinities.positive):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        self.group = {c: find(c) for c in parent}
-        self.avoid: dict[tuple[int, int], frozenset[int]] = {}
-        for i, k, q in instance.relpos_avoid:
-            self.avoid[(i, k)] = self.avoid.get((i, k), frozenset()) | {q}
-        self.favour = {(i, k): q for i, k, q in instance.relpos_favour}
-        self.com = instance.com_target
-
-    def item_tail(self, i: int, x: int, y: int, z: int, dims) -> Fraction:
-        """This item's share of the weighted (o2, o3) objective tail."""
-        tail = self.w2 * Fraction(z + dims[2], self.m * self.H)
-        if self.com is not None and self.w3 != 0:
-            lt, wt = self.com
-            cx = Fraction(x) + Fraction(dims[0], 2)
-            cy = Fraction(y) + Fraction(dims[1], 2)
-            tail += self.w3 * (abs(cx - lt) / (self.m * self.L)
-                               + abs(cy - wt) / (self.m * self.W))
+    def item_tail(self, i: int, x: int, y: int, z: int, dims) -> int:
+        """This item's share of the weighted (o2, o3) objective tail, times D."""
+        tail = self.cz * (z + dims[2])
+        if self.com is not None:
+            qx, px, cx, qy, py, cy = self.com
+            tail += (cx * abs((2 * x + dims[0]) * qx - px)
+                     + cy * abs((2 * y + dims[1]) * qy - py))
         return tail
 
 
@@ -91,17 +96,17 @@ class _Packing:
         self.bins: list[_Bin] = []
         self.pos: dict[int, tuple] = {}  # item -> (bin_idx, k, x, y, z, a, b, c)
         self.group_bin: dict[int, dict[int, int]] = {}  # group -> {bin_idx: count}
-        self.tail = Fraction(0)
+        self.tail = 0  # sum of item tails, times ctx.D
 
     @property
     def o1(self) -> int:
         return sum(1 for b in self.bins if b.boxes)
 
-    def score(self) -> tuple[int, Fraction]:
+    def score(self) -> tuple[int, int]:
         return (self.o1, self.tail)
 
     def energy(self) -> Fraction:
-        e = self.tail
+        e = Fraction(self.tail, self.ctx.D)
         if self.ctx.n >= 2:
             e += self.ctx.w1 * self.o1
         return e
@@ -131,39 +136,23 @@ class _Packing:
         locked = self.locked_bin(item)
         if locked is not None and locked != j:
             return False
-        for (o, _, ox, oy, oz, oa, ob, oc) in bn.boxes:
-            if item < o:
-                i0, d0, p0 = item, (a, b, c), (x, y, z)
-                i1, d1, p1 = o, (oa, ob, oc), (ox, oy, oz)
-            else:
-                i0, d0, p0 = o, (oa, ob, oc), (ox, oy, oz)
-                i1, d1, p1 = item, (a, b, c), (x, y, z)
-            valid = 0
-            if p0[0] + d0[0] <= p1[0]:
-                valid |= 1 << 1
-            if p0[1] + d0[1] <= p1[1]:
-                valid |= 1 << 2
-            if p0[2] + d0[2] <= p1[2]:
-                valid |= 1 << 3
-            if p1[0] + d1[0] <= p0[0]:
-                valid |= 1 << 4
-            if p1[1] + d1[1] <= p0[1]:
-                valid |= 1 << 5
-            if p1[2] + d1[2] <= p0[2]:
-                valid |= 1 << 6
-            if not valid:
+        # no overlap <=> some relative position holds (separation mask != 0),
+        # so only pairs with avoid/favour triples need the mask itself
+        x1, y1, z1 = x + a, y + b, z + c
+        for (_, _, ox, oy, oz, oa, ob, oc) in bn.boxes:
+            if x < ox + oa and ox < x1 and y < oy + ob and oy < y1 and z < oz + oc and oz < z1:
                 return False
-            pair = (i0, i1)
-            av = ctx.avoid.get(pair)
-            if av is not None:
-                remaining = valid
-                for q in av:
-                    remaining &= ~(1 << q)
-                if not remaining:
+        if item in ctx.relpos_items:
+            own = ((x, y, z), dims)
+            for (o, _, ox, oy, oz, oa, ob, oc) in bn.boxes:
+                rule = ctx.relpos.get((item, o) if item < o else (o, item))
+                if rule is None:
+                    continue
+                other = ((ox, oy, oz), (oa, ob, oc))
+                mask = separation_mask(*own, *other) if item < o else separation_mask(*other, *own)
+                allowed, required = rule
+                if not mask & allowed or mask & required != required:
                     return False
-            fq = ctx.favour.get(pair)
-            if fq is not None and not (valid >> fq) & 1:
-                return False
         return True
 
     def place(self, item: int, j: int, k: int, dims, x: int, y: int, z: int) -> None:
@@ -268,7 +257,7 @@ def _construct(ctx: _Ctx, order: Sequence[int]) -> tuple[Optional[_Packing], Opt
 
 
 def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
-               cap: int) -> Optional[tuple[Fraction, int, int, tuple, int, int, int]]:
+               cap: int) -> Optional[tuple[int, int, int, tuple, int, int, int]]:
     """Cheapest feasible placement by (bin-count delta, item tail)."""
     ctx = pk.ctx
     best = None

@@ -21,6 +21,9 @@ from ..core import (
     Placement,
     allowed_orientations,
     effective_dims,
+    positive_groups,
+    relpos_masks,
+    separation_mask,
 )
 from ..validate import check, objectives
 from .config import SolveResult, solution_energy
@@ -58,25 +61,8 @@ def solve_oracle(instance: Instance, limits: Optional[OracleLimits] = None,
     neg = instance.affinities.negative
     has_com = instance.com_target is not None
 
-    parent: dict[int, int] = {}
-
-    def find(c: int) -> int:
-        parent.setdefault(c, c)
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for a, b in sorted(instance.affinities.positive):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    group = {c: find(c) for c in parent}
-
-    avoid: dict[tuple[int, int], frozenset[int]] = {}
-    for i, k, q in instance.relpos_avoid:
-        avoid[(i, k)] = avoid.get((i, k), frozenset()) | {q}
-    favour = {(i, k): q for i, k, q in instance.relpos_favour}
+    group = positive_groups(instance.affinities)
+    relpos, _ = relpos_masks(instance)
 
     orients = [
         [(k, effective_dims(it, k)) for k in sorted(allowed_orientations(it))]
@@ -91,33 +77,17 @@ def solve_oracle(instance: Instance, limits: Optional[OracleLimits] = None,
 
     def pair_ok(i: int, pi_xyz, pi_dims, k: int, pk_xyz, pk_dims) -> bool:
         if i < k:
-            lo, hi = i, k
-            p0, d0, p1, d1 = pi_xyz, pi_dims, pk_xyz, pk_dims
+            mask = separation_mask(pi_xyz, pi_dims, pk_xyz, pk_dims)
+            rule = relpos.get((i, k))
         else:
-            lo, hi = k, i
-            p0, d0, p1, d1 = pk_xyz, pk_dims, pi_xyz, pi_dims
-        valid = set()
-        if p0[0] + d0[0] <= p1[0]:
-            valid.add(1)
-        if p0[1] + d0[1] <= p1[1]:
-            valid.add(2)
-        if p0[2] + d0[2] <= p1[2]:
-            valid.add(3)
-        if p1[0] + d1[0] <= p0[0]:
-            valid.add(4)
-        if p1[1] + d1[1] <= p0[1]:
-            valid.add(5)
-        if p1[2] + d1[2] <= p0[2]:
-            valid.add(6)
-        if not valid:
+            mask = separation_mask(pk_xyz, pk_dims, pi_xyz, pi_dims)
+            rule = relpos.get((k, i))
+        if not mask:
             return False
-        av = avoid.get((lo, hi))
-        if av is not None and not (valid - av):
-            return False
-        fq = favour.get((lo, hi))
-        if fq is not None and fq not in valid:
-            return False
-        return True
+        if rule is None:
+            return True
+        allowed, required = rule
+        return bool(mask & allowed) and mask & required == required
 
     def leaf() -> None:
         placements = tuple(

@@ -141,6 +141,30 @@ class TestSolve:
         assert meta["energy"] == Fraction(3, 4)
 
 
+class TestMalformedInstance:
+    @pytest.mark.parametrize("path,value,message", [
+        (("items", 0, "l"), 2.5, "l must be an integer, got 2.5"),
+        (("items", 0, "l"), True, "l must be an integer, got True"),
+        (("items", 1, "category"), 1.5, "category must be an integer, got 1.5"),
+        (("affinities", "positive"), [[1]], "lists of 2 integers, got [1]"),
+        (("relpos", "avoid"), [[0, 1]], "lists of 3 integers, got [0, 1]"),
+        # without n the default bin count would compute with L
+        (("bin",), {"L": "2", "W": 1, "H": 2}, "bin L must be an integer, got '2'"),
+    ])
+    def test_solve_exits_2_with_message(self, capsys, tiny_instance, path, value, message):
+        doc = json.loads(tiny_instance.read_text())
+        *parents, key = path
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        tiny_instance.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "solve", "--instance", str(tiny_instance),
+                           "--iterations", "5")
+        assert code == 2
+        assert message in err
+
+
 class TestValidate:
     def test_feasible_solution(self, capsys, tiny_instance, tmp_path):
         out = tmp_path / "sol.json"

@@ -1,8 +1,10 @@
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from binpack3d import (
     Affinities,
@@ -11,16 +13,23 @@ from binpack3d import (
     Item,
     OracleCapError,
     OracleLimits,
+    PackingSolution,
+    Placement,
     SolverConfig,
+    allowed_orientations,
+    archetype,
+    effective_dims,
     run_stats,
     solve,
     solve_annealer,
     solve_heuristic,
     solve_oracle,
 )
+from binpack3d.fileio import save_solution
+from binpack3d.solver.heuristic import _Bin, _Ctx, _Packing
 from binpack3d.validate import check
 
-from helpers import enumerate_feasible, oracle_instance, solvable_instance
+from helpers import enumerate_feasible, oracle_instance, respects_relpos, solvable_instance
 
 
 def cubes(count, side=1, mu=1, categories=None):
@@ -91,6 +100,89 @@ class TestHeuristic:
         (log,) = result.checkpoint_runs
         assert len(log) == 4
         assert all(log[i + 1] <= log[i] for i in range(3))
+
+
+class TestCanPlace:
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_validator_for_one_pair(self, data):
+        """Box `second` against box `first` already in the bin: can_place says
+        yes exactly when the validator (plus the avoid/favour referee) accepts
+        the pair, for random dims, corners and relative-position triples."""
+        draw = data.draw
+        L, W, H = (draw(st.integers(3, 8)) for _ in range(3))  # every item fits every way
+        items = tuple(Item(index=i, l=draw(st.integers(1, 3)), w=draw(st.integers(1, 3)),
+                           h=draw(st.integers(1, 3)), mu=draw(st.integers(1, 9)), category=i)
+                      for i in range(2))
+        kind = draw(st.sampled_from(("none", "avoid", "favour", "eta")))
+        qs = draw(st.sets(st.integers(1, 6), min_size=1, max_size=3))
+        inst = Instance(
+            items=items, bin=BinSpec(L, W, H, n=1),
+            eta=Fraction(2) if kind == "eta" else None,
+            relpos_avoid=frozenset((0, 1, q) for q in qs) if kind == "avoid" else frozenset(),
+            # one favoured position: the model rejects a pair favoured in two
+            relpos_favour=frozenset({(0, 1, min(qs))}) if kind == "favour" else frozenset(),
+        )
+        first = draw(st.integers(0, 1))
+        second = 1 - first
+        ks = [draw(st.sampled_from(sorted(allowed_orientations(it)))) for it in items]
+        dims = [effective_dims(it, k) for it, k in zip(items, ks)]
+        bounds = (L, W, H)
+        corners = [None, None]
+        corners[first] = tuple(draw(st.integers(0, bound - d))
+                               for bound, d in zip(bounds, dims[first]))
+        # from touching on one side to touching on the other: positions
+        # further out separate the boxes the same way
+        corners[second] = tuple(
+            draw(st.integers(max(0, c - d2), min(bound, c + d1)))
+            for bound, c, d1, d2 in zip(bounds, corners[first], dims[first], dims[second]))
+
+        pk = _Packing(_Ctx(inst, (1, 1, 1)))
+        pk.bins.append(_Bin())
+        pk.place(first, 0, ks[first], dims[first], *corners[first])
+        got = pk.can_place(second, 0, dims[second], *corners[second])
+
+        sol = PackingSolution(tuple(Placement(item=i, bin=1, k=ks[i], x=corners[i][0],
+                                              y=corners[i][1], z=corners[i][2])
+                                    for i in range(2)))
+        assert got == (check(inst, sol).feasible and respects_relpos(inst, sol))
+
+
+def solution_sha256(tmp_path, result, seed):
+    out = tmp_path / "golden.json"
+    save_solution(result.best, out, energy=result.energy, solver="heuristic", seed=seed,
+                  elapsed_s=result.elapsed, iterations=40, run_log=result.run_log,
+                  instance_name="golden")
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+class TestHeuristicGolden:
+    """Pinned iteration-mode output: a change meant as a pure speedup of the
+    heuristic must leave these solution bytes identical."""
+
+    @pytest.mark.parametrize("number,digest", [
+        (1, "ae148a9beaf47e0b1e71e3a1062ac96da4c7c32c9bee5d68fd683d93f7268736"),
+        (2, "d160aeae48f60dd8ccc50c6d3c1294009bfb0eaad912a7c6097477939a9dcd82"),
+        (4, "b5c292d3f6ada7a63b5abd83349c0f39ec575756af4ec827cf8059329a595253"),
+        (11, "ff9b86426ee45fe0ec620efa86ca46cee3f3ba5d95cb0f93dd61b6ab73293919"),
+    ])
+    def test_archetype_solution_bytes(self, tmp_path, number, digest):
+        result = solve_heuristic(archetype(number, seed=3),
+                                 SolverConfig(iterations=40, seed=3, runs=2))
+        assert solution_sha256(tmp_path, result, 3) == digest
+
+    def test_fractional_com_target_and_weights(self, tmp_path):
+        inst = dataclasses.replace(archetype(9, seed=3),
+                                   com_target=(Fraction(2251, 3), Fraction(1501, 2)))
+        cfg = SolverConfig(iterations=40, seed=3, runs=2,
+                           weights=(1, Fraction(2, 3), Fraction(5, 7)))
+        result = solve_heuristic(inst, cfg, checkpoints=[0, 10, 40])
+        assert solution_sha256(tmp_path, result, 3) == (
+            "b37be5ec581d0940f49ab908e74e5576fcf8e7f48ba3a09b5379b3644f3f19be")
+        assert result.checkpoint_runs == (
+            (Fraction(634129, 987000), Fraction(30799, 49350), Fraction(1747379, 2961000)),
+            (Fraction(634129, 987000), Fraction(617833, 987000), Fraction(117169, 197400)),
+        )
 
 
 class TestOracle:
