@@ -39,8 +39,6 @@ from .model import (
 )
 from .render import PALETTE10, render_svg, render_to_file
 from .solver import (
-    AnnealerParams,
-    HeuristicParams,
     OracleCapError,
     OracleLimits,
     RunStats,

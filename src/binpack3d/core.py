@@ -362,6 +362,7 @@ class Placement:
     z: int
 
     def __post_init__(self) -> None:
+        _require_ints(self, ("item", "bin", "k", "x", "y", "z"), "placement ")
         if self.item < 0:
             raise ValueError("placement item index must be >= 0")
         if self.bin < 1:

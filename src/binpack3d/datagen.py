@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Affinities, BinSpec, Instance, Item, default_bin_count
+from .core import Affinities, BinSpec, Instance, Item, default_bin_count, positive_groups
 
 # (low, high, probability): side length as a fraction of the bin dimension
 SizeClass = tuple[float, float, float]
@@ -91,30 +91,17 @@ def _sample_affinities(rng: random.Random, present: list[int],
         pick = pool.pop(rng.randrange(len(pool)))
         neg.append(pick)
 
-    parent = {c: c for c in present}
-
-    def find(c: int) -> int:
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
     pos: list[tuple[int, int]] = []
     attempts = 0
     while len(pos) < n_pos and pool and attempts < 1000:
         attempts += 1
         idx = rng.randrange(len(pool))
         a, b = pool[idx]
-        ra, rb = find(a), find(b)
-        merged_conflict = any(
-            {find(x), find(y)} <= {ra, rb} and find(x) != find(y)
-            for x, y in neg
-        )
-        if merged_conflict:
+        group = positive_groups(Affinities(positive=frozenset(pos + [(a, b)])))
+        if any(group.get(x, x) == group.get(y, y) for x, y in neg):
             continue
         pool.pop(idx)
         pos.append((a, b))
-        parent[ra] = rb
     if len(pos) < n_pos:
         raise ValueError("could not sample positive affinities without contradiction")
     return Affinities(positive=frozenset(pos), negative=frozenset(neg))

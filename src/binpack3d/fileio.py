@@ -42,7 +42,10 @@ def rational_from_json(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"expected a rational, got {value!r}") from None
     raise ValueError(f"expected a rational, got {value!r}")
 
 
@@ -51,6 +54,8 @@ def _dump(doc: dict) -> str:
 
 
 def _require_keys(doc: dict, allowed: set[str], required: set[str], what: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object, got {doc!r}")
     unknown = set(doc) - allowed
     if unknown:
         raise ValueError(f"{what}: unknown keys {sorted(unknown)}")
@@ -59,12 +64,16 @@ def _require_keys(doc: dict, allowed: set[str], required: set[str], what: str) -
         raise ValueError(f"{what}: missing keys {sorted(missing)}")
 
 
+def _require_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def _int_tuples(entries, arity: int, what: str) -> frozenset[tuple[int, ...]]:
     """A JSON list of integer lists, each of length arity, as a set of tuples."""
-    if not isinstance(entries, list):
-        raise ValueError(f"{what} must be a list, got {entries!r}")
     out = set()
-    for entry in entries:
+    for entry in _require_list(entries, what):
         # JSON numbers parse to int, float or bool; only int is accepted
         if (not isinstance(entry, list) or len(entry) != arity
                 or not all(type(v) is int for v in entry)):
@@ -113,7 +122,7 @@ def instance_from_dict(doc: dict) -> Instance:
     bin_doc = doc["bin"]
     _require_keys(bin_doc, {"L", "W", "H", "M", "n"}, {"L", "W", "H"}, "instance.bin")
     items = []
-    for pos, item_doc in enumerate(doc["items"]):
+    for pos, item_doc in enumerate(_require_list(doc["items"], "instance.items")):
         _require_keys(item_doc, {"id", "l", "w", "h", "mu", "category"},
                       {"id", "l", "w", "h", "mu", "category"}, f"items[{pos}]")
         if item_doc["id"] != pos:
@@ -140,7 +149,8 @@ def instance_from_dict(doc: dict) -> Instance:
     eta = rational_from_json(doc["eta"]) if "eta" in doc else None
     com = None
     if "com_target" in doc:
-        com = tuple(rational_from_json(v) for v in doc["com_target"])
+        com = tuple(rational_from_json(v)
+                    for v in _require_list(doc["com_target"], "com_target"))
         if len(com) != 2:
             raise ValueError("com_target must be a [L~, W~] pair")
     return Instance(
@@ -202,7 +212,7 @@ def solution_from_dict(doc: dict) -> tuple[PackingSolution, dict]:
                         "elapsed_s", "run_log", "instance", "time_limit", "iterations"},
                   {"placements", "objectives"}, "solution")
     placements = []
-    for pos, p in enumerate(doc["placements"]):
+    for pos, p in enumerate(_require_list(doc["placements"], "solution.placements")):
         _require_keys(p, {"item", "bin", "k", "x", "y", "z"},
                       {"item", "bin", "k", "x", "y", "z"}, f"placements[{pos}]")
         placements.append(Placement(item=p["item"], bin=p["bin"], k=p["k"],
@@ -222,7 +232,8 @@ def solution_from_dict(doc: dict) -> tuple[PackingSolution, dict]:
         "elapsed_s": doc.get("elapsed_s", 0.0),
         "time_limit": doc.get("time_limit"),
         "iterations": doc.get("iterations"),
-        "run_log": [rational_from_json(e) for e in doc.get("run_log", [])],
+        "run_log": [rational_from_json(e)
+                    for e in _require_list(doc.get("run_log", []), "solution.run_log")],
         "instance": doc.get("instance", ""),
     }
     return solution, meta

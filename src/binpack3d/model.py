@@ -33,12 +33,14 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .core import (
+    RELPOS,
     Instance,
     PackingSolution,
     allowed_orientations,
     effective_dims,
     kappa,
     nonredundant_orientations,
+    separation_mask,
 )
 
 Number = Union[int, Fraction]
@@ -729,22 +731,9 @@ def encode_solution(instance: Instance, solution: PackingSolution, *,
     def valid_qs(i: int, k: int) -> tuple[int, ...]:
         pi, pk = by_item[i], by_item[k]
         if pi.bin != pk.bin:
-            return tuple(range(1, 7))
-        di, dk = dims[i], dims[k]
-        ok = []
-        if pi.x + di[0] <= pk.x:
-            ok.append(1)
-        if pi.y + di[1] <= pk.y:
-            ok.append(2)
-        if pi.z + di[2] <= pk.z:
-            ok.append(3)
-        if pk.x + dk[0] <= pi.x:
-            ok.append(4)
-        if pk.y + dk[1] <= pi.y:
-            ok.append(5)
-        if pk.z + dk[2] <= pi.z:
-            ok.append(6)
-        return tuple(ok)
+            return RELPOS
+        mask = separation_mask(pi.corner, dims[i], pk.corner, dims[k])
+        return tuple(q for q in RELPOS if mask >> q & 1)
 
     # the relative-position choice follows the preference fixings in both
     # variants (avoided positions are never chosen while an alternative is

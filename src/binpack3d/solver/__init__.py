@@ -3,27 +3,14 @@ compiled model, and an exhaustive oracle for tiny instances."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
-
 from ..core import Instance
 from .annealer import solve_annealer
-from .config import (
-    AnnealerParams,
-    HeuristicParams,
-    SolveResult,
-    SolverConfig,
-    mix_seed,
-    solution_energy,
-)
+from .config import SolveResult, SolverConfig, mix_seed, solution_energy
 from .heuristic import solve_heuristic
 from .oracle import OracleCapError, OracleLimits, solve_oracle
 from .stats import RunStats, run_stats
 
 __all__ = [
-    "AnnealerParams",
-    "HeuristicParams",
     "OracleCapError",
     "OracleLimits",
     "RunStats",
@@ -44,33 +31,8 @@ _BACKENDS = {
 }
 
 
-def _merge(results: list[SolveResult]) -> SolveResult:
-    run_log = tuple(e for r in results for e in r.run_log)
-    best = None
-    energy = None
-    reason = None
-    for r in results:
-        if r.best is not None and (energy is None or r.energy < energy):
-            best, energy = r.best, r.energy
-        if r.infeasible_reason:
-            reason = r.infeasible_reason
-    elapsed = max((r.elapsed for r in results), default=0.0)
-    if best is None:
-        return SolveResult(None, None, elapsed, run_log, infeasible_reason=reason)
-    return SolveResult(best, energy, elapsed, run_log)
-
-
 def solve(instance: Instance, config: SolverConfig) -> SolveResult:
-    """Dispatch on backend; BINPACK3D_THREADS > 1 fans independent runs out
-    to a thread pool (each run keeps its own derived seed; the aggregate is
-    ordered by run, so results match the sequential path)."""
+    """Dispatch on backend; a backend runs its config.runs runs in order."""
     if config.backend == "oracle":
         return solve_oracle(instance, weights=config.weights)
-    backend = _BACKENDS[config.backend]
-    threads = int(os.environ.get("BINPACK3D_THREADS", "1") or "1")
-    if threads <= 1 or config.runs <= 1:
-        return backend(instance, config)
-    single = [replace(config, runs=1, run_offset=run) for run in range(config.runs)]
-    with ThreadPoolExecutor(max_workers=min(threads, config.runs)) as pool:
-        results = list(pool.map(lambda c: backend(instance, c), single))
-    return _merge(results)
+    return _BACKENDS[config.backend](instance, config)

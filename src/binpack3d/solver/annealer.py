@@ -28,6 +28,16 @@ from .config import SolveResult, SolverConfig, mix_seed, solution_energy
 
 _LE, _EQ, _GE = 0, 1, 2
 
+# annealing schedule: geometric cooling with a periodic reheat, and a
+# penalty weight on squared violations that grows every interval to a cap
+INITIAL_TEMPERATURE = 3.0
+COOLING = 0.9995
+REHEAT_INTERVAL = 2500
+PENALTY_WEIGHT = 2.0
+PENALTY_GROWTH = 1.3
+PENALTY_INTERVAL = 600
+PENALTY_CAP = 200.0
+
 
 class _FastModel:
     """Float view of the model for the annealing loop."""
@@ -76,6 +86,8 @@ class _FastModel:
 
 
 def _initial_values(instance: Instance, model: QuadraticModel,
+                    item_r: dict[int, list[tuple[int, int]]],
+                    pair_b: dict[tuple[int, int], list[tuple[int, int]]],
                     rng: random.Random) -> list[int]:
     """Everything starts in bin 1 at random in-bin coordinates; the repair
     moves spread items out from there."""
@@ -86,18 +98,10 @@ def _initial_values(instance: Instance, model: QuadraticModel,
         for i in range(m):
             values[model.var_id[f"u_{i}_1"]] = 1
         values[model.var_id["v_1"]] = 1
-    for item in instance.items:
-        ks = sorted(nonredundant_orientations(item))
-        if ks:
-            values[model.var_id[f"r_{item.index}_{ks[rng.randrange(len(ks))]}"]] = 1
-    pair_qs: dict[tuple[int, int], list[int]] = {}
-    for var in model.variables:
-        if var.tag.startswith("b_"):
-            _, i, k, q = var.tag.split("_")
-            pair_qs.setdefault((int(i), int(k)), []).append(int(q))
-    for (i, k), qs in pair_qs.items():
-        q = qs[rng.randrange(len(qs))]
-        values[model.var_id[f"b_{i}_{k}_{q}"]] = 1
+    for choices in item_r.values():
+        values[choices[rng.randrange(len(choices))][1]] = 1
+    for qs in pair_b.values():
+        values[qs[rng.randrange(len(qs))][1]] = 1
     for var in model.variables:
         if not var.binary and var.tag[0] in "xyz":
             hi = min(int(var.upper), L - 1) if var.tag[0] == "x" else int(var.upper)
@@ -140,10 +144,8 @@ def _decode(instance: Instance, model: QuadraticModel,
 def _anneal_run(instance: Instance, model: QuadraticModel, fast: _FastModel,
                 config: SolverConfig, seed: int) -> Optional[list[int]]:
     rng = random.Random(seed)
-    params = config.annealer
     n, m = model.n, model.m
     L = instance.bin.L
-    values = _initial_values(instance, model, rng)
     steps = sorted({1, max(1, L // 8), max(1, L // 2)})
 
     cont_ids = [v.id for v in model.variables if not v.binary]
@@ -164,6 +166,7 @@ def _anneal_run(instance: Instance, model: QuadraticModel, fast: _FastModel,
             _, i, k, q = var.tag.split("_")
             pair_b.setdefault((int(i), int(k)), []).append((int(q), var.id))
     pairs = sorted(pair_b)
+    values = _initial_values(instance, model, item_r, pair_b, rng)
     coord_ids = {
         i: (model.var_id[f"x_{i}"], model.var_id[f"y_{i}"], model.var_id[f"z_{i}"])
         for i in range(m)
@@ -177,8 +180,8 @@ def _anneal_run(instance: Instance, model: QuadraticModel, fast: _FastModel,
         return (item.l, item.w, item.h)
 
     obj, viol2 = fast.energy_parts(values)
-    pw = params.penalty_weight
-    temp = params.initial_temperature
+    pw = PENALTY_WEIGHT
+    temp = INITIAL_TEMPERATURE
     best_values: Optional[list[int]] = None
     best_obj = math.inf
     if viol2 == 0.0:
@@ -281,11 +284,11 @@ def _anneal_run(instance: Instance, model: QuadraticModel, fast: _FastModel,
         else:
             for vid, old in reversed(touched):
                 values[vid] = old
-        temp *= params.cooling
-        if iters % params.penalty_interval == 0:
-            pw = min(pw * params.penalty_growth, params.penalty_cap)
-        if iters % params.reheat_interval == 0:
-            temp = params.initial_temperature
+        temp *= COOLING
+        if iters % PENALTY_INTERVAL == 0:
+            pw = min(pw * PENALTY_GROWTH, PENALTY_CAP)
+        if iters % REHEAT_INTERVAL == 0:
+            temp = INITIAL_TEMPERATURE
     return best_values
 
 
@@ -298,7 +301,7 @@ def solve_annealer(instance: Instance, config: SolverConfig) -> SolveResult:
     run_log: list[Fraction] = []
     for run in range(config.runs):
         values = _anneal_run(instance, model, fast, config,
-                             mix_seed(config.seed, config.run_offset + run))
+                             mix_seed(config.seed, run))
         if values is None:
             continue
         assignment = {var.tag: values[var.id] for var in model.variables}

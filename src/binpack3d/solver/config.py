@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -14,35 +14,13 @@ BACKENDS = ("heuristic", "annealer", "oracle")
 
 
 @dataclass(frozen=True)
-class AnnealerParams:
-    initial_temperature: float = 3.0
-    cooling: float = 0.9995
-    penalty_weight: float = 2.0
-    penalty_growth: float = 1.3
-    penalty_interval: int = 600
-    penalty_cap: float = 200.0
-    reheat_interval: int = 2500
-
-
-@dataclass(frozen=True)
-class HeuristicParams:
-    restarts: int = 8
-    # relative weights of (reinsert, swap, reorient, rebin) moves
-    move_weights: tuple[float, float, float, float] = (0.35, 0.30, 0.20, 0.15)
-    candidate_cap: int = 48
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     backend: str = "heuristic"
     time_limit: float = 5.0
     seed: int = 0
     runs: int = 1
-    run_offset: int = 0  # first run index, used when runs are fanned out
     iterations: Optional[int] = None  # iteration-count mode: deterministic, ignores wall clock
     weights: tuple[Number, Number, Number] = (1, 1, 1)
-    annealer: AnnealerParams = field(default_factory=AnnealerParams)
-    heuristic: HeuristicParams = field(default_factory=HeuristicParams)
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -53,8 +31,6 @@ class SolverConfig:
             raise ValueError("runs must be >= 1")
         if self.iterations is not None and self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if not (0 < self.annealer.cooling < 1):
-            raise ValueError("cooling factor must be in (0, 1)")
 
 
 @dataclass(frozen=True)

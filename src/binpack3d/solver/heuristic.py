@@ -28,6 +28,11 @@ from ..core import (
 from ..validate import objectives
 from .config import SolveResult, SolverConfig, mix_seed, solution_energy
 
+RESTARTS = 8  # shuffled-order constructions tried after the first fails
+# relative weights of the (reinsert, swap, reorient, rebin) moves
+MOVE_WEIGHTS = (0.35, 0.30, 0.20, 0.15)
+CANDIDATE_CAP = 48  # a reinsert tries at most this many corner points per bin
+
 
 class _Ctx:
     """Instance data predigested for fast placement checks.
@@ -190,19 +195,6 @@ class _Packing:
         j, k, x, y, z, a, b, c = saved
         self.place(item, j, k, (a, b, c), x, y, z)
 
-    def compact(self) -> None:
-        """Drop empty bins so bin indices stay sequential (emission only;
-        moves keep indices stable and count nonempty bins for o1)."""
-        if all(b.boxes for b in self.bins):
-            return
-        keep = [idx for idx, b in enumerate(self.bins) if b.boxes]
-        remap = {old: new for new, old in enumerate(keep)}
-        self.bins = [self.bins[idx] for idx in keep]
-        for item, (j, k, x, y, z, a, b, c) in list(self.pos.items()):
-            self.pos[item] = (remap[j], k, x, y, z, a, b, c)
-        for g, locs in list(self.group_bin.items()):
-            self.group_bin[g] = {remap[j]: cnt for j, cnt in locs.items()}
-
     def candidates(self, j: int) -> list[tuple[int, int, int]]:
         pts = {(0, 0, 0)}
         for (_, _, x, y, z, a, b, c) in self.bins[j].boxes:
@@ -212,12 +204,15 @@ class _Packing:
         return sorted(pts, key=lambda p: (p[2], p[1], p[0]))
 
     def to_solution(self) -> PackingSolution:
-        self.compact()
+        """Emit with empty bins dropped, so bin numbers run 1..o1 (moves keep
+        bin indices stable and count nonempty bins for o1)."""
+        nonempty = [j for j, b in enumerate(self.bins) if b.boxes]
+        slot = {j: new for new, j in enumerate(nonempty)}
         placements = []
         for item in sorted(self.pos):
             j, k, x, y, z, _, _, _ = self.pos[item]
-            placements.append(Placement(item=item, bin=j + 1, k=k,
-                                        x=x + j * self.ctx.L, y=y, z=z))
+            placements.append(Placement(item=item, bin=slot[j] + 1, k=k,
+                                        x=x + slot[j] * self.ctx.L, y=y, z=z))
         sol = PackingSolution(tuple(placements))
         o1, o2, o3 = objectives(self.ctx.inst, sol)
         return PackingSolution(sol.placements, o1=o1, o2=o2, o3=o3)
@@ -367,12 +362,11 @@ def _local_search(pk: _Packing, rng: random.Random, config: SolverConfig,
                   checkpoints: Optional[Sequence[int]] = None
                   ) -> list[Fraction]:
     ctx = pk.ctx
-    weights = config.heuristic.move_weights
     moves = [
-        lambda: _move_reinsert(pk, rng, config.heuristic.candidate_cap, False),
+        lambda: _move_reinsert(pk, rng, CANDIDATE_CAP, False),
         lambda: _move_swap(pk, rng),
         lambda: _move_reorient(pk, rng),
-        lambda: _move_reinsert(pk, rng, config.heuristic.candidate_cap, True),
+        lambda: _move_reinsert(pk, rng, CANDIDATE_CAP, True),
     ]
     marks = sorted(checkpoints) if checkpoints else []
     cp_log: list[Fraction] = []
@@ -388,10 +382,10 @@ def _local_search(pk: _Packing, rng: random.Random, config: SolverConfig,
                 break
         elif time.monotonic() >= deadline:
             break
-        r = rng.random() * sum(weights)
+        r = rng.random() * sum(MOVE_WEIGHTS)
         acc = 0.0
         pick = 0
-        for idx, w in enumerate(weights):
+        for idx, w in enumerate(MOVE_WEIGHTS):
             acc += w
             if r < acc:
                 pick = idx
@@ -438,9 +432,9 @@ def solve_heuristic(instance: Instance, config: SolverConfig,
     cp_runs: list[tuple[Fraction, ...]] = []
     reason = None
     for run in range(config.runs):
-        rng = random.Random(mix_seed(config.seed, config.run_offset + run))
+        rng = random.Random(mix_seed(config.seed, run))
         pk = None
-        for attempt in range(config.heuristic.restarts + 1):
+        for attempt in range(RESTARTS + 1):
             if attempt == 0:
                 order = [i for block in blocks for i in block] + singles
             else:

@@ -1,17 +1,23 @@
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from binpack3d.cli import main
 from binpack3d.fileio import (
+    instance_to_dict,
     load_instance,
     load_solution,
     save_instance,
     save_solution,
     solution_to_dict,
 )
-from binpack3d.core import BinSpec, Instance, Item, PackingSolution, Placement
+from binpack3d.core import Affinities, BinSpec, Instance, Item, PackingSolution, Placement
 
 
 def run(capsys, *argv):
@@ -20,13 +26,34 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+TINY = Instance(items=(Item(0, 1, 1, 2, 1, 0), Item(1, 2, 1, 1, 1, 0)),
+                bin=BinSpec(2, 1, 2, n=1))
+
+
 @pytest.fixture
 def tiny_instance(tmp_path):
-    inst = Instance(items=(Item(0, 1, 1, 2, 1, 0), Item(1, 2, 1, 1, 1, 0)),
-                    bin=BinSpec(2, 1, 2, n=1))
     path = tmp_path / "tiny.json"
-    save_instance(inst, path)
+    save_instance(TINY, path)
     return path
+
+
+def tiny_solution_doc():
+    """A feasible solution of TINY."""
+    return solution_to_dict(PackingSolution((
+        Placement(item=0, bin=1, k=5, x=0, y=0, z=0),
+        Placement(item=1, bin=1, k=1, x=0, y=0, z=1))))
+
+
+def with_node(doc, path, value):
+    """A copy of a JSON document with the node at the key path replaced."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return doc
 
 
 class TestGenerate:
@@ -150,19 +177,90 @@ class TestMalformedInstance:
         (("relpos", "avoid"), [[0, 1]], "lists of 3 integers, got [0, 1]"),
         # without n the default bin count would compute with L
         (("bin",), {"L": "2", "W": 1, "H": 2}, "bin L must be an integer, got '2'"),
+        (("items", 0), 7, "items[0] must be an object, got 7"),
     ])
     def test_solve_exits_2_with_message(self, capsys, tiny_instance, path, value, message):
-        doc = json.loads(tiny_instance.read_text())
-        *parents, key = path
-        target = doc
-        for step in parents:
-            target = target[step]
-        target[key] = value
+        doc = with_node(json.loads(tiny_instance.read_text()), path, value)
         tiny_instance.write_text(json.dumps(doc))
         code, _, err = run(capsys, "solve", "--instance", str(tiny_instance),
                            "--iterations", "5")
         assert code == 2
         assert message in err
+
+
+class TestMalformedSolution:
+    @pytest.mark.parametrize("path,value,message", [
+        (("placements", 0, "x"), 0.5, "placement x must be an integer, got 0.5"),
+        (("placements", 0, "k"), True, "placement k must be an integer, got True"),
+        (("placements", 0, "x"), "a", "placement x must be an integer, got 'a'"),
+        (("placements", 0), 5, "placements[0] must be an object, got 5"),
+        (("placements",), 5, "solution.placements must be a list, got 5"),
+    ])
+    def test_validate_exits_2_with_message(self, capsys, tiny_instance, tmp_path,
+                                           path, value, message):
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps(with_node(tiny_solution_doc(), path, value)))
+        code, _, err = run(capsys, "validate", "--instance", str(tiny_instance),
+                           "--solution", str(sol))
+        assert code == 2
+        assert message in err
+
+
+def json_paths(doc, prefix=()):
+    """Every node of a JSON document as a key path; () is the root."""
+    yield prefix
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from json_paths(value, prefix + (key,))
+    elif isinstance(doc, list):
+        for idx, value in enumerate(doc):
+            yield from json_paths(value, prefix + (idx,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+# every instance feature that fileio parses, on a document small enough to solve
+FUZZ_INSTANCE_DOC = instance_to_dict(
+    Instance(items=(Item(0, 1, 1, 2, 1, 0), Item(1, 2, 1, 1, 1, 1)),
+             bin=BinSpec(2, 1, 2, n=2), eta=Fraction(3, 2),
+             com_target=(Fraction(1), Fraction(1, 2)),
+             affinities=Affinities(negative=frozenset({(0, 1)}))))
+
+
+class TestFuzzJsonBoundary:
+    """One node of a valid instance or solution document replaced by a random
+    JSON value: the command exits with a documented code and never raises."""
+
+    def run_quietly(self, instance_doc, solution_doc=None):
+        with tempfile.TemporaryDirectory() as tmp:
+            inst = Path(tmp) / "inst.json"
+            inst.write_text(json.dumps(instance_doc))
+            if solution_doc is None:
+                argv = ["solve", "--instance", str(inst), "--iterations", "5"]
+            else:
+                sol = Path(tmp) / "sol.json"
+                sol.write_text(json.dumps(solution_doc))
+                argv = ["validate", "--instance", str(inst), "--solution", str(sol)]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                return main(argv)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(list(json_paths(FUZZ_INSTANCE_DOC))), JSON_VALUES)
+    def test_solve_instance_node(self, path, value):
+        assert self.run_quietly(with_node(FUZZ_INSTANCE_DOC, path, value)) in (0, 1, 2, 3)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(list(json_paths(tiny_solution_doc()))), JSON_VALUES)
+    def test_validate_solution_node(self, path, value):
+        doc = with_node(tiny_solution_doc(), path, value)
+        assert self.run_quietly(instance_to_dict(TINY), doc) in (0, 1, 2, 3)
 
 
 class TestValidate:

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,26 @@ class TestGenerate:
                        max_weight=50, bins_upper=2, weight_scale=100000)
         inst = generate(spec)
         assert sum(it.mu for it in inst.items) <= 2 * 50
+
+
+class TestGenerateGolden:
+    def test_affinity_grid_bytes(self):
+        """Pinned output over seeds x category counts x affinity mixes, with
+        the ValueError message of every spec that cannot be sampled (too few
+        category pairs, or no contradiction-free positive pairs)."""
+        digest = hashlib.sha256()
+        for seed in range(40):
+            for categories in (4, 6, 8):
+                for pos, neg in ((1, 1), (3, 1), (2, 3), (4, 2), (6, 3), (9, 4)):
+                    spec = GenSpec(item_count=20, seed=seed, bin_dims=(100, 100, 100),
+                                   positive_affinities=pos, negative_affinities=neg,
+                                   category_count=categories)
+                    try:
+                        digest.update(_dump(instance_to_dict(generate(spec))).encode())
+                    except ValueError as exc:
+                        digest.update(f"ValueError: {exc}\n".encode())
+        assert digest.hexdigest() == (
+            "42e9d1b2a401bb929eaef63e14f3efd09034c395078b9e38125e9e7cf0c9bc12")
 
 
 class TestArchetypes:
