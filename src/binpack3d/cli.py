@@ -214,6 +214,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:  # e.g. run-log energies whose statistics exceed a float
+        print(f"error: number out of range: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ Unknown keys are rejected on parse.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -206,6 +207,22 @@ def solution_to_dict(solution: PackingSolution, *, energy=None, solver: str = ""
     return doc
 
 
+def _finite_number(value) -> bool:
+    # JSON numbers parse to int, float or bool (and NaN/Infinity to float)
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+# run metadata key -> (test, what the test wants)
+_META_TYPES = {
+    "solver": (lambda v: isinstance(v, str), "a string"),
+    "instance": (lambda v: v is None or isinstance(v, str), "a string"),
+    "seed": (lambda v: type(v) is int, "an integer"),
+    "iterations": (lambda v: v is None or type(v) is int, "an integer"),
+    "elapsed_s": (_finite_number, "a finite number"),
+    "time_limit": (lambda v: v is None or _finite_number(v), "a finite number"),
+}
+
+
 def solution_from_dict(doc: dict) -> tuple[PackingSolution, dict]:
     """Returns the solution plus the run metadata (energy, solver, seed, ...)."""
     _require_keys(doc, {"placements", "objectives", "energy", "solver", "seed",
@@ -219,6 +236,8 @@ def solution_from_dict(doc: dict) -> tuple[PackingSolution, dict]:
                                     x=p["x"], y=p["y"], z=p["z"]))
     obj = doc["objectives"]
     _require_keys(obj, {"o1", "o2", "o3"}, set(), "solution.objectives")
+    if "o1" in obj and type(obj["o1"]) is not int:
+        raise ValueError(f"solution.objectives.o1 must be an integer, got {obj['o1']!r}")
     solution = PackingSolution(
         tuple(placements),
         o1=obj.get("o1"),
@@ -236,6 +255,9 @@ def solution_from_dict(doc: dict) -> tuple[PackingSolution, dict]:
                     for e in _require_list(doc.get("run_log", []), "solution.run_log")],
         "instance": doc.get("instance", ""),
     }
+    for key, (ok, kind) in _META_TYPES.items():
+        if not ok(meta[key]):
+            raise ValueError(f"solution.{key} must be {kind}, got {meta[key]!r}")
     return solution, meta
 
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Optional, Union
 
-from ..core import Instance, PackingSolution
+from ..core import Instance, PackingSolution, _require_ints
 
 Number = Union[int, Fraction]
 
@@ -25,6 +27,13 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
+        _require_ints(self, ("seed", "runs"), "")
+        if self.iterations is not None:
+            _require_ints(self, ("iterations",), "")
+        # a NaN or infinite limit would make the deadline unreachable
+        if (isinstance(self.time_limit, bool) or not isinstance(self.time_limit, Real)
+                or not math.isfinite(self.time_limit)):
+            raise ValueError(f"time_limit must be a finite number, got {self.time_limit!r}")
         if self.time_limit <= 0:
             raise ValueError("time_limit must be > 0")
         if self.runs < 1:

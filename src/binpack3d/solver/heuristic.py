@@ -54,6 +54,8 @@ class _Ctx:
             for it in instance.items
         }
         self.mu = {it.index: it.mu for it in instance.items}
+        self.volume = {it.index: it.volume for it in instance.items}
+        self.bin_volume = self.L * self.W * self.H
         self.cat = {it.index: it.category for it in instance.items}
         self.neg = instance.affinities.negative
         # categories joined by positive affinities must share one bin
@@ -87,12 +89,21 @@ class _Ctx:
 
 
 class _Bin:
-    __slots__ = ("boxes", "load", "cats")
+    __slots__ = ("boxes", "load", "volume", "cats")
 
     def __init__(self) -> None:
-        self.boxes: list[tuple] = []  # (item, k, x, y, z, a, b, c) bin-local
+        self.boxes: list[tuple] = []  # (item, k, x, y, z, x + a, y + b, z + c) bin-local
         self.load = 0
+        self.volume = 0  # sum of the boxes' volumes
         self.cats: dict[int, int] = {}
+
+    def occupied(self, x: int, y: int, z: int) -> bool:
+        """Whether the point lies in a box's half-open extent, so that every
+        box cornered there overlaps it."""
+        for (_, _, ox, oy, oz, ox1, oy1, oz1) in self.boxes:
+            if ox <= x < ox1 and oy <= y < oy1 and oz <= z < oz1:
+                return True
+        return False
 
 
 class _Packing:
@@ -125,13 +136,14 @@ class _Packing:
             return None
         return next(iter(locs))
 
-    def can_place(self, item: int, j: int, dims, x: int, y: int, z: int) -> bool:
+    def admits(self, item: int, j: int) -> bool:
+        """The checks that do not depend on the position in bin j: weight cap,
+        free volume, negative affinities and the positive-group bin lock."""
         ctx = self.ctx
-        a, b, c = dims
-        if x + a > ctx.L or y + b > ctx.W or z + c > ctx.H:
-            return False
         bn = self.bins[j]
         if ctx.max_weight is not None and bn.load + ctx.mu[item] > ctx.max_weight:
+            return False
+        if bn.volume + ctx.volume[item] > ctx.bin_volume:
             return False
         ci = ctx.cat[item]
         if ctx.neg:
@@ -139,33 +151,46 @@ class _Packing:
                 if (min(ci, cat), max(ci, cat)) in ctx.neg:
                     return False
         locked = self.locked_bin(item)
-        if locked is not None and locked != j:
-            return False
+        return locked is None or locked == j
+
+    def fits(self, item: int, j: int, dims, x: int, y: int, z: int) -> bool:
+        """The position checks of an in-bounds box in bin j: no overlap and
+        the avoid/favour triples."""
+        ctx = self.ctx
+        bn = self.bins[j]
         # no overlap <=> some relative position holds (separation mask != 0),
         # so only pairs with avoid/favour triples need the mask itself
-        x1, y1, z1 = x + a, y + b, z + c
-        for (_, _, ox, oy, oz, oa, ob, oc) in bn.boxes:
-            if x < ox + oa and ox < x1 and y < oy + ob and oy < y1 and z < oz + oc and oz < z1:
+        x1, y1, z1 = x + dims[0], y + dims[1], z + dims[2]
+        for (_, _, ox, oy, oz, ox1, oy1, oz1) in bn.boxes:
+            if x < ox1 and ox < x1 and y < oy1 and oy < y1 and z < oz1 and oz < z1:
                 return False
         if item in ctx.relpos_items:
             own = ((x, y, z), dims)
-            for (o, _, ox, oy, oz, oa, ob, oc) in bn.boxes:
+            for (o, _, ox, oy, oz, ox1, oy1, oz1) in bn.boxes:
                 rule = ctx.relpos.get((item, o) if item < o else (o, item))
                 if rule is None:
                     continue
-                other = ((ox, oy, oz), (oa, ob, oc))
+                other = ((ox, oy, oz), (ox1 - ox, oy1 - oy, oz1 - oz))
                 mask = separation_mask(*own, *other) if item < o else separation_mask(*other, *own)
                 allowed, required = rule
                 if not mask & allowed or mask & required != required:
                     return False
         return True
 
+    def can_place(self, item: int, j: int, dims, x: int, y: int, z: int) -> bool:
+        ctx = self.ctx
+        if x + dims[0] > ctx.L or y + dims[1] > ctx.W or z + dims[2] > ctx.H:
+            return False
+        return self.admits(item, j) and self.fits(item, j, dims, x, y, z)
+
     def place(self, item: int, j: int, k: int, dims, x: int, y: int, z: int) -> None:
         a, b, c = dims
-        self.bins[j].boxes.append((item, k, x, y, z, a, b, c))
-        self.bins[j].load += self.ctx.mu[item]
+        bn = self.bins[j]
+        bn.boxes.append((item, k, x, y, z, x + a, y + b, z + c))
+        bn.load += self.ctx.mu[item]
+        bn.volume += a * b * c
         cat = self.ctx.cat[item]
-        self.bins[j].cats[cat] = self.bins[j].cats.get(cat, 0) + 1
+        bn.cats[cat] = bn.cats.get(cat, 0) + 1
         g = self.ctx.group.get(cat)
         if g is not None:
             locs = self.group_bin.setdefault(g, {})
@@ -176,8 +201,9 @@ class _Packing:
     def remove(self, item: int) -> tuple:
         j, k, x, y, z, a, b, c = self.pos.pop(item)
         bn = self.bins[j]
-        bn.boxes.remove((item, k, x, y, z, a, b, c))
+        bn.boxes.remove((item, k, x, y, z, x + a, y + b, z + c))
         bn.load -= self.ctx.mu[item]
+        bn.volume -= a * b * c
         cat = self.ctx.cat[item]
         bn.cats[cat] -= 1
         if bn.cats[cat] == 0:
@@ -197,10 +223,10 @@ class _Packing:
 
     def candidates(self, j: int) -> list[tuple[int, int, int]]:
         pts = {(0, 0, 0)}
-        for (_, _, x, y, z, a, b, c) in self.bins[j].boxes:
-            pts.add((x + a, y, z))
-            pts.add((x, y + b, z))
-            pts.add((x, y, z + c))
+        for (_, _, x, y, z, x1, y1, z1) in self.bins[j].boxes:
+            pts.add((x1, y, z))
+            pts.add((x, y1, z))
+            pts.add((x, y, z1))
         return sorted(pts, key=lambda p: (p[2], p[1], p[0]))
 
     def to_solution(self) -> PackingSolution:
@@ -219,16 +245,21 @@ class _Packing:
 
 
 def _construct(ctx: _Ctx, order: Sequence[int]) -> tuple[Optional[_Packing], Optional[int]]:
+    """First fit: the first admitting bin, lowest free corner point, first
+    orientation that fits; a new bin when none does."""
     pk = _Packing(ctx)
     for item in order:
         placed = False
         for j in range(len(pk.bins)):
-            locked = pk.locked_bin(item)
-            if locked is not None and locked != j:
+            if not pk.admits(item, j):
                 continue
+            bn = pk.bins[j]
             for (x, y, z) in pk.candidates(j):
+                if bn.occupied(x, y, z):
+                    continue
                 for k, dims in ctx.orients[item]:
-                    if pk.can_place(item, j, dims, x, y, z):
+                    if (x + dims[0] <= ctx.L and y + dims[1] <= ctx.W and z + dims[2] <= ctx.H
+                            and pk.fits(item, j, dims, x, y, z)):
                         pk.place(item, j, k, dims, x, y, z)
                         placed = True
                         break
@@ -253,24 +284,37 @@ def _construct(ctx: _Ctx, order: Sequence[int]) -> tuple[Optional[_Packing], Opt
 
 def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
                cap: int) -> Optional[tuple[int, int, int, tuple, int, int, int]]:
-    """Cheapest feasible placement by (bin-count delta, item tail)."""
+    """Cheapest feasible placement by item tail, ties going to the first spot
+    in (bin, candidate, orientation) order. Every in-bounds spot is scored,
+    and the position checks run cheapest first until one passes."""
     ctx = pk.ctx
-    best = None
+    L, W, H = ctx.L, ctx.W, ctx.H
+    locked = pk.locked_bin(item)
+    spots = []  # (tail, enumeration index, j, k, dims, x, y, z)
     for j in bins:
-        locked = pk.locked_bin(item)
         if locked is not None and locked != j:
             continue
         cands = pk.candidates(j)
         if len(cands) > cap:
-            cands = sorted(rng.sample(cands, cap), key=lambda p: (p[2], p[1], p[0]))
+            # the same draw as sampling cands itself; sorted indices keep
+            # the points in candidate order
+            cands = [cands[i] for i in sorted(rng.sample(range(len(cands)), cap))]
+        # checked after the sample is drawn, so the random stream stays put
+        if not pk.admits(item, j):
+            continue
+        bn = pk.bins[j]
         for (x, y, z) in cands:
+            if bn.occupied(x, y, z):
+                continue
             for k, dims in ctx.orients[item]:
-                if pk.can_place(item, j, dims, x, y, z):
-                    tail = ctx.item_tail(item, x, y, z, dims)
-                    key = (tail, j, k, dims, x, y, z)
-                    if best is None or key[0] < best[0]:
-                        best = key
-    return best
+                if x + dims[0] <= L and y + dims[1] <= W and z + dims[2] <= H:
+                    spots.append((ctx.item_tail(item, x, y, z, dims), len(spots),
+                                  j, k, dims, x, y, z))
+    spots.sort()
+    for tail, _, j, k, dims, x, y, z in spots:
+        if pk.fits(item, j, dims, x, y, z):
+            return (tail, j, k, dims, x, y, z)
+    return None
 
 
 def _move_reinsert(pk: _Packing, rng: random.Random, cap: int, different_bin: bool) -> bool:

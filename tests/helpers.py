@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable, Optional
 
 from binpack3d import (
@@ -18,6 +20,16 @@ from binpack3d import (
     effective_dims,
 )
 from binpack3d.validate import check
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment with this checkout's src/ first on PYTHONPATH, for
+    tests that run the CLI or a script in a child process."""
+    path = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
 
 FEATURES = ("overweight", "negative", "positive", "eta", "com", "avoid", "favour")
 

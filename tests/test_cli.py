@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import math
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from binpack3d.cli import main
+from binpack3d.solver import SolverConfig
 from binpack3d.fileio import (
     instance_to_dict,
     load_instance,
@@ -18,6 +22,8 @@ from binpack3d.fileio import (
     solution_to_dict,
 )
 from binpack3d.core import Affinities, BinSpec, Instance, Item, PackingSolution, Placement
+
+from helpers import subprocess_env
 
 
 def run(capsys, *argv):
@@ -231,6 +237,26 @@ FUZZ_INSTANCE_DOC = instance_to_dict(
              affinities=Affinities(negative=frozenset({(0, 1)}))))
 
 
+def quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+# a run log with every metadata field that stats reads
+RUNLOG_DOC = solution_to_dict(
+    PackingSolution((
+        Placement(item=0, bin=1, k=5, x=0, y=0, z=0),
+        Placement(item=1, bin=1, k=1, x=0, y=0, z=1)), o1=1, o2=Fraction(3, 4)),
+    energy=Fraction(3, 4), solver="heuristic", seed=1, elapsed_s=0.25, time_limit=5,
+    iterations=10, run_log=[Fraction(3, 4), 1], instance_name="tiny")
+
+SETTING_VALUES = (st.none() | st.booleans() | st.integers(-2, 10 ** 6)
+                  | st.floats(allow_nan=True, allow_infinity=True) | st.fractions()
+                  | st.text(max_size=3))
+FLAG_VALUES = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1", "0", "1", "2",
+                               "0.5", "1.5", "true", "x", ""])
+
+
 class TestFuzzJsonBoundary:
     """One node of a valid instance or solution document replaced by a random
     JSON value: the command exits with a documented code and never raises."""
@@ -245,9 +271,7 @@ class TestFuzzJsonBoundary:
                 sol = Path(tmp) / "sol.json"
                 sol.write_text(json.dumps(solution_doc))
                 argv = ["validate", "--instance", str(inst), "--solution", str(sol)]
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                return main(argv)
+            return quietly(argv)
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -261,6 +285,71 @@ class TestFuzzJsonBoundary:
     def test_validate_solution_node(self, path, value):
         doc = with_node(tiny_solution_doc(), path, value)
         assert self.run_quietly(instance_to_dict(TINY), doc) in (0, 1, 2, 3)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(list(json_paths(RUNLOG_DOC))), JSON_VALUES)
+    def test_stats_runlog_node(self, path, value):
+        """Beside an intact log of the same instance, so rows are compared."""
+        with tempfile.TemporaryDirectory() as tmp:
+            logs = [Path(tmp) / "a.json", Path(tmp) / "b.json"]
+            logs[0].write_text(json.dumps(RUNLOG_DOC))
+            logs[1].write_text(json.dumps(with_node(RUNLOG_DOC, path, value)))
+            assert quietly(["stats", "--runlogs", *map(str, logs)]) in (0, 2)
+
+
+class TestSolverSettings:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_time_limit_exits_2(self, tiny_instance, value):
+        """Without the check the deadline is never reached and solve hangs."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "binpack3d", "solve", "--instance", str(tiny_instance),
+             "--time-limit", value],
+            capture_output=True, text=True, timeout=60, env=subprocess_env())
+        assert proc.returncode == 2
+        assert f"time_limit must be a finite number, got {value}" in proc.stderr
+
+    @pytest.mark.parametrize("field,value", [
+        ("runs", 1.5), ("runs", True), ("iterations", 2.5), ("seed", "1"),
+        ("time_limit", float("nan")), ("time_limit", float("-inf")), ("time_limit", "5"),
+    ])
+    def test_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SolverConfig(**{field: value})
+
+    @given(time_limit=SETTING_VALUES, seed=SETTING_VALUES, runs=SETTING_VALUES,
+           iterations=SETTING_VALUES)
+    def test_config_fuzz(self, time_limit, seed, runs, iterations):
+        """A SolverConfig either raises ValueError or holds usable values."""
+        try:
+            cfg = SolverConfig(time_limit=time_limit, seed=seed, runs=runs,
+                               iterations=iterations)
+        except ValueError:
+            return
+        assert type(cfg.seed) is int and type(cfg.runs) is int and cfg.runs >= 1
+        assert cfg.iterations is None or type(cfg.iterations) is int and cfg.iterations >= 0
+        assert not isinstance(cfg.time_limit, bool)
+        assert math.isfinite(cfg.time_limit) and cfg.time_limit > 0
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.dictionaries(st.sampled_from(["--time-limit", "--runs", "--seed"]), FLAG_VALUES),
+           st.sampled_from(["heuristic", "annealer", "oracle"]), FLAG_VALUES)
+    def test_solve_flags_fuzz(self, flags, backend, iterations):
+        """Random flag strings: solve exits with a documented code, never
+        raises. --iterations is always passed, so no run waits on the clock."""
+        with tempfile.TemporaryDirectory() as tmp:
+            inst = Path(tmp) / "inst.json"
+            save_instance(TINY, inst)
+            argv = ["solve", "--instance", str(inst), "--backend", backend,
+                    "--iterations", iterations]
+            for flag, value in flags.items():
+                argv += [flag, value]
+            try:
+                code = quietly(argv)
+            except SystemExit as exc:  # argparse refuses a malformed number
+                code = exc.code
+            assert code in (0, 2, 3)
 
 
 class TestValidate:
@@ -341,6 +430,13 @@ class TestStats:
         assert code == 0
         line = [ln for ln in stdout.splitlines() if ln.startswith("toy")][0]
         assert "0.5" in line  # sigma_bar of {1,3}
+
+    def test_mistyped_time_limit_exits_2(self, capsys, tmp_path):
+        good = self.write_runlog(tmp_path, "toy", [1, 3], 5)
+        bad = self.write_runlog(tmp_path, "toy", [1, 3], "x")
+        code, _, err = run(capsys, "stats", "--runlogs", str(good), str(bad))
+        assert code == 2
+        assert "solution.time_limit must be a finite number, got 'x'" in err
 
     def test_rows_per_time_limit_and_csv(self, capsys, tmp_path):
         paths = [self.write_runlog(tmp_path, "toy", [2, 2, 2], tl)

@@ -1,0 +1,20 @@
+"""The experiment scripts run end to end on a tiny budget, so a renamed or
+removed library name they import does not go unnoticed."""
+
+import subprocess
+import sys
+
+import pytest
+
+from helpers import REPO, subprocess_env
+
+
+@pytest.mark.parametrize("script,args", [
+    ("run_archetypes.py", ["--iterations", "2", "--out-dir", "out"]),
+    ("time_sweep.py", ["--unit", "2", "--runs", "1", "--out", "sweep.csv"]),
+])
+def test_script_exits_0(tmp_path, script, args):
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / script), *args],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300,
+                          env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr

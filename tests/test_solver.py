@@ -19,6 +19,7 @@ from binpack3d import (
     allowed_orientations,
     archetype,
     effective_dims,
+    load_bearing_avoid,
     run_stats,
     solve,
     solve_annealer,
@@ -26,7 +27,7 @@ from binpack3d import (
     solve_oracle,
 )
 from binpack3d.fileio import save_solution
-from binpack3d.solver.heuristic import _Bin, _Ctx, _Packing
+from binpack3d.solver.heuristic import CANDIDATE_CAP, _Bin, _Ctx, _Packing, _best_spot
 from binpack3d.validate import check
 
 from helpers import enumerate_feasible, oracle_instance, respects_relpos, solvable_instance
@@ -160,6 +161,104 @@ class TestCanPlace:
         assert got == (check(inst, sol).feasible and respects_relpos(inst, sol))
 
 
+def reference_best_spot(pk, item, bins, rng, cap):
+    """The exhaustive scan that _best_spot must agree with: can_place on every
+    sampled candidate and orientation, keeping the first spot of least tail."""
+    ctx = pk.ctx
+    best = None
+    for j in bins:
+        locked = pk.locked_bin(item)
+        if locked is not None and locked != j:
+            continue
+        cands = pk.candidates(j)
+        if len(cands) > cap:
+            cands = sorted(rng.sample(cands, cap), key=lambda p: (p[2], p[1], p[0]))
+        for (x, y, z) in cands:
+            for k, dims in ctx.orients[item]:
+                if pk.can_place(item, j, dims, x, y, z):
+                    tail = ctx.item_tail(item, x, y, z, dims)
+                    if best is None or tail < best[0]:
+                        best = (tail, j, k, dims, x, y, z)
+    return best
+
+
+class TestBestSpot:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_exhaustive_scan(self, data):
+        """On random partial packings with weight caps, negative and positive
+        affinities and avoid/favour triples, _best_spot returns the reference
+        scan's spot and draws the same random numbers."""
+        draw = data.draw
+        L, W, H = (draw(st.integers(3, 7)) for _ in range(3))
+        n = draw(st.integers(1, 3))
+        m = draw(st.integers(2, 60))
+        items = tuple(Item(index=i, l=draw(st.integers(1, min(L, 3))),
+                           w=draw(st.integers(1, min(W, 3))), h=draw(st.integers(1, min(H, 3))),
+                           mu=draw(st.integers(1, 9)), category=draw(st.integers(0, 3)))
+                      for i in range(m))
+        cat_pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        neg = draw(st.sets(st.sampled_from(cat_pairs), max_size=2))
+        pos = draw(st.sets(st.sampled_from([p for p in cat_pairs if p not in neg]), max_size=2))
+        item_pairs = [(i, k) for i in range(m) for k in range(i + 1, m)]
+        relpos = draw(st.lists(st.tuples(st.sampled_from(item_pairs), st.integers(1, 6),
+                                         st.booleans()), max_size=12, unique_by=lambda t: t[0]))
+        eta = draw(st.none() | st.just(Fraction(2)))
+        if eta is not None:  # a favoured pair may not also get derived avoid triples
+            derived = {(i, k) for i, k, _ in load_bearing_avoid(items, eta)}
+            relpos = [t for t in relpos if t[2] or t[0] not in derived]
+        inst = Instance(
+            items=items,
+            bin=BinSpec(L, W, H, n=n, max_weight=draw(st.none() | st.integers(9, 60))),
+            affinities=Affinities(positive=frozenset(pos), negative=frozenset(neg)),
+            eta=eta,
+            com_target=draw(st.none() | st.tuples(st.integers(0, L), st.integers(0, W)).map(
+                lambda t: (Fraction(t[0]), Fraction(t[1])))),
+            relpos_avoid=frozenset((*pair, q) for pair, q, avoid in relpos if avoid),
+            relpos_favour=frozenset((*pair, q) for pair, q, avoid in relpos if not avoid),
+        )
+        ctx = _Ctx(inst, (1, 1, 1))
+        pk = _Packing(ctx)
+        pk.bins.extend(_Bin() for _ in range(n))
+        rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+        for item in range(m):  # dense corner placements, some anywhere
+            for _ in range(8):
+                j = rnd.randrange(n)
+                k, dims = rnd.choice(ctx.orients[item])
+                if rnd.random() < 0.8:
+                    x, y, z = rnd.choice(pk.candidates(j))
+                else:
+                    x, y, z = (rnd.randrange(d) for d in (L, W, H))
+                if pk.can_place(item, j, dims, x, y, z):
+                    pk.place(item, j, k, dims, x, y, z)
+                    break
+        cap = draw(st.sampled_from((1, 3, 8, CANDIDATE_CAP)))
+        seed = draw(st.integers(0, 2 ** 32))
+        for item in range(m):
+            saved = pk.pos.get(item) and pk.remove(item)
+            bins = [j for j in range(n) if draw(st.booleans())]
+            rng_ref, rng_new = random.Random(seed), random.Random(seed)
+            assert _best_spot(pk, item, bins, rng_new, cap) == \
+                reference_best_spot(pk, item, bins, rng_ref, cap)
+            assert rng_new.getstate() == rng_ref.getstate()
+            if saved:
+                pk.restore(item, saved)
+
+
+    def test_exact_fill(self):
+        """The last free cell of a bin: the free-volume pre-check admits an
+        item that fills the bin exactly."""
+        inst = Instance(items=cubes(8), bin=BinSpec(2, 2, 2, n=1))
+        pk = _Packing(_Ctx(inst, (1, 1, 1)))
+        pk.bins.append(_Bin())
+        for item, (x, y, z) in enumerate(
+                [(x, y, z) for z in (0, 1) for y in (0, 1) for x in (0, 1)][:7]):
+            pk.place(item, 0, 1, (1, 1, 1), x, y, z)
+        spot = _best_spot(pk, 7, [0], random.Random(0), CANDIDATE_CAP)
+        assert spot == reference_best_spot(pk, 7, [0], random.Random(0), CANDIDATE_CAP)
+        assert spot[1:] == (0, 1, (1, 1, 1), 1, 1, 1)
+
+
 def solution_sha256(tmp_path, result, seed, solver="heuristic", iterations=40):
     out = tmp_path / "golden.json"
     save_solution(result.best, out, energy=result.energy, solver=solver, seed=seed,
@@ -177,11 +276,20 @@ class TestHeuristicGolden:
         (2, "d160aeae48f60dd8ccc50c6d3c1294009bfb0eaad912a7c6097477939a9dcd82"),
         (4, "b5c292d3f6ada7a63b5abd83349c0f39ec575756af4ec827cf8059329a595253"),
         (11, "ff9b86426ee45fe0ec620efa86ca46cee3f3ba5d95cb0f93dd61b6ab73293919"),
+        (6, "05e876998de21fec5e741f8471d4cd0779ad20756fdbbee72458154182af3782"),
+        (8, "afde4dfaa5e813a135bfc70fcd96c02b66f7578321aad51c43fa225c2e7f1eb9"),
     ])
     def test_archetype_solution_bytes(self, tmp_path, number, digest):
         result = solve_heuristic(archetype(number, seed=3),
                                  SolverConfig(iterations=40, seed=3, runs=2))
         assert solution_sha256(tmp_path, result, 3) == digest
+
+    def test_long_search(self, tmp_path):
+        """Archetype 12 at 120 iterations: many reinserts hit CANDIDATE_CAP."""
+        result = solve_heuristic(archetype(12, seed=3),
+                                 SolverConfig(iterations=120, seed=3, runs=2))
+        assert solution_sha256(tmp_path, result, 3, iterations=120) == (
+            "4d97c217f1213cba52dbffd1b0a1b0a8f402ecc2e99436aa2774c2ed7c9ea297")
 
     def test_fractional_com_target_and_weights(self, tmp_path):
         inst = dataclasses.replace(archetype(9, seed=3),
