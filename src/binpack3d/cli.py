@@ -116,16 +116,21 @@ def cmd_stats(args) -> int:
     rows: dict[tuple, list] = {}
     for path in args.runlogs:
         _, meta = fileio.load_solution(path)
-        key = (meta["instance"] or Path(path).stem,
-               meta["time_limit"] if meta["time_limit"] is not None else meta["iterations"])
+        # 5 seconds and 5 iterations are different budgets, so the row key
+        # holds the budget's kind as well as its value
+        kind = "time_limit" if meta["time_limit"] is not None else "iterations"
+        key = (meta["instance"] or Path(path).stem, kind, meta[kind])
         rows.setdefault(key, []).extend(meta["run_log"])
     header = ("instance", "time_limit", "mean", "std", "sigma_bar", "min", "max")
     table = []
-    for (name, limit), energies in sorted(rows.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0)):
+    for (name, kind, budget), energies in sorted(
+            rows.items(), key=lambda kv: (kv[0][0], kv[0][1] == "iterations", kv[0][2] or 0)):
         if not energies:
             continue
         st = run_stats(energies)
-        table.append((name, limit, float(st.mean), st.std, float(st.sigma_bar),
+        if kind == "iterations" and budget is not None:
+            budget = f"{budget} iterations"
+        table.append((name, budget, float(st.mean), st.std, float(st.sigma_bar),
                       float(st.minimum), float(st.maximum)))
     widths = [max(len(str(r[i])) for r in ([header] + table)) for i in range(len(header))]
     for row in [header] + table:

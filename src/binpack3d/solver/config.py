@@ -40,6 +40,11 @@ class SolverConfig:
             raise ValueError("runs must be >= 1")
         if self.iterations is not None and self.iterations < 0:
             raise ValueError("iterations must be >= 0")
+        # weights stay exact: a float (NaN included) or a bool is refused
+        if not (type(self.weights) is tuple and len(self.weights) == 3
+                and all(type(w) is int or isinstance(w, Fraction) for w in self.weights)):
+            raise ValueError("weights must be a tuple of three integers or Fractions, "
+                             f"got {self.weights!r}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -89,21 +90,68 @@ class _Ctx:
 
 
 class _Bin:
-    __slots__ = ("boxes", "load", "volume", "cats")
+    """One bin's boxes and running totals, and its corner points: the origin
+    and the far corners (x1, y, z), (x, y1, z), (x, y, z1) of every box, kept
+    sorted by (z, y, x) as boxes are added and discarded."""
+
+    __slots__ = ("boxes", "load", "volume", "cats", "keys", "points", "refs", "cover")
 
     def __init__(self) -> None:
         self.boxes: list[tuple] = []  # (item, k, x, y, z, x + a, y + b, z + c) bin-local
         self.load = 0
         self.volume = 0  # sum of the boxes' volumes
         self.cats: dict[int, int] = {}
+        self.keys: list[tuple[int, int, int]] = [(0, 0, 0)]  # corner points as (z, y, x), sorted
+        self.points: list[tuple[int, int, int]] = [(0, 0, 0)]  # the same points as (x, y, z)
+        self.refs = {(0, 0, 0): 1}  # point -> boxes cornered there; the origin is pinned
+        self.cover = {(0, 0, 0): 0}  # point -> boxes whose half-open extent holds it
 
     def occupied(self, x: int, y: int, z: int) -> bool:
-        """Whether the point lies in a box's half-open extent, so that every
-        box cornered there overlaps it."""
-        for (_, _, ox, oy, oz, ox1, oy1, oz1) in self.boxes:
-            if ox <= x < ox1 and oy <= y < oy1 and oz <= z < oz1:
-                return True
-        return False
+        """Whether the corner point lies in a box's half-open extent, so that
+        every box cornered there overlaps it."""
+        return self.cover[(x, y, z)] > 0
+
+    def _recount(self, box: tuple, delta: int) -> None:
+        """Add delta to the cover of each point inside box. Only points with
+        z in [z, z1) can be, and keys sorted by z first hold them in one slice."""
+        _, _, x, y, z, x1, y1, z1 = box
+        lo = bisect_left(self.keys, (z,))
+        hi = bisect_left(self.keys, (z1,), lo)
+        cover = self.cover
+        for p in self.points[lo:hi]:
+            if x <= p[0] < x1 and y <= p[1] < y1:
+                cover[p] += delta
+
+    def add(self, box: tuple) -> None:
+        self._recount(box, 1)
+        self.boxes.append(box)
+        _, _, x, y, z, x1, y1, z1 = box
+        for p in ((x1, y, z), (x, y1, z), (x, y, z1)):
+            if p in self.refs:
+                self.refs[p] += 1
+                continue
+            self.refs[p] = 1
+            px, py, pz = p
+            count = 0
+            for (_, _, ox, oy, oz, ox1, oy1, oz1) in self.boxes:
+                if ox <= px < ox1 and oy <= py < oy1 and oz <= pz < oz1:
+                    count += 1
+            self.cover[p] = count
+            i = bisect_left(self.keys, (pz, py, px))
+            self.keys.insert(i, (pz, py, px))
+            self.points.insert(i, p)
+
+    def discard(self, box: tuple) -> None:
+        self.boxes.remove(box)
+        _, _, x, y, z, x1, y1, z1 = box
+        for p in ((x1, y, z), (x, y1, z), (x, y, z1)):
+            self.refs[p] -= 1
+            if self.refs[p]:
+                continue
+            del self.refs[p], self.cover[p]
+            i = bisect_left(self.keys, (p[2], p[1], p[0]))
+            del self.keys[i], self.points[i]
+        self._recount(box, -1)
 
 
 class _Packing:
@@ -186,7 +234,7 @@ class _Packing:
     def place(self, item: int, j: int, k: int, dims, x: int, y: int, z: int) -> None:
         a, b, c = dims
         bn = self.bins[j]
-        bn.boxes.append((item, k, x, y, z, x + a, y + b, z + c))
+        bn.add((item, k, x, y, z, x + a, y + b, z + c))
         bn.load += self.ctx.mu[item]
         bn.volume += a * b * c
         cat = self.ctx.cat[item]
@@ -201,7 +249,7 @@ class _Packing:
     def remove(self, item: int) -> tuple:
         j, k, x, y, z, a, b, c = self.pos.pop(item)
         bn = self.bins[j]
-        bn.boxes.remove((item, k, x, y, z, x + a, y + b, z + c))
+        bn.discard((item, k, x, y, z, x + a, y + b, z + c))
         bn.load -= self.ctx.mu[item]
         bn.volume -= a * b * c
         cat = self.ctx.cat[item]
@@ -222,12 +270,9 @@ class _Packing:
         self.place(item, j, k, (a, b, c), x, y, z)
 
     def candidates(self, j: int) -> list[tuple[int, int, int]]:
-        pts = {(0, 0, 0)}
-        for (_, _, x, y, z, x1, y1, z1) in self.bins[j].boxes:
-            pts.add((x1, y, z))
-            pts.add((x, y1, z))
-            pts.add((x, y, z1))
-        return sorted(pts, key=lambda p: (p[2], p[1], p[0]))
+        """Bin j's corner points in (z, y, x) order. The list is live: it
+        changes with the next place or remove, and callers must not mutate it."""
+        return self.bins[j].points
 
     def to_solution(self) -> PackingSolution:
         """Emit with empty bins dropped, so bin numbers run 1..o1 (moves keep
@@ -254,6 +299,7 @@ def _construct(ctx: _Ctx, order: Sequence[int]) -> tuple[Optional[_Packing], Opt
             if not pk.admits(item, j):
                 continue
             bn = pk.bins[j]
+            # the list is live: stop iterating it once the item is placed
             for (x, y, z) in pk.candidates(j):
                 if bn.occupied(x, y, z):
                     continue
@@ -283,10 +329,13 @@ def _construct(ctx: _Ctx, order: Sequence[int]) -> tuple[Optional[_Packing], Opt
 
 
 def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
-               cap: int) -> Optional[tuple[int, int, int, tuple, int, int, int]]:
+               cap: int, bound: Optional[int] = None
+               ) -> Optional[tuple[int, int, int, tuple, int, int, int]]:
     """Cheapest feasible placement by item tail, ties going to the first spot
-    in (bin, candidate, orientation) order. Every in-bounds spot is scored,
-    and the position checks run cheapest first until one passes."""
+    in (bin, candidate, orientation) order; None when there is none or, given
+    a bound, when its tail is not under the bound. Every in-bounds spot on a
+    free point is scored, spots at or over the bound are dropped, and the
+    position checks run cheapest first until one passes."""
     ctx = pk.ctx
     L, W, H = ctx.L, ctx.W, ctx.H
     locked = pk.locked_bin(item)
@@ -308,8 +357,9 @@ def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
                 continue
             for k, dims in ctx.orients[item]:
                 if x + dims[0] <= L and y + dims[1] <= W and z + dims[2] <= H:
-                    spots.append((ctx.item_tail(item, x, y, z, dims), len(spots),
-                                  j, k, dims, x, y, z))
+                    tail = ctx.item_tail(item, x, y, z, dims)
+                    if bound is None or tail < bound:
+                        spots.append((tail, len(spots), j, k, dims, x, y, z))
     spots.sort()
     for tail, _, j, k, dims, x, y, z in spots:
         if pk.fits(item, j, dims, x, y, z):
@@ -320,22 +370,21 @@ def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
 def _move_reinsert(pk: _Packing, rng: random.Random, cap: int, different_bin: bool) -> bool:
     items = sorted(pk.pos)
     item = items[rng.randrange(len(items))]
-    before = pk.score()
+    o1, tail = pk.score()
     saved = pk.remove(item)
     old_bin = saved[0]
     bins = [j for j in range(len(pk.bins))
             if pk.bins[j].boxes and not (different_bin and j == old_bin)]
-    best = _best_spot(pk, item, bins, rng, cap)
-    if best is not None:
-        _, j, k, dims, x, y, z = best
-        pk.place(item, j, k, dims, x, y, z)
-        if pk.score() < before:
-            return True
-        pk.remove(item)
+    # a used bin keeps o1, so unless the removal emptied a bin the move is
+    # accepted only when the item's new tail lowers the total
+    bound = None if pk.o1 < o1 else tail - pk.tail
+    best = _best_spot(pk, item, bins, rng, cap, bound)
+    if best is None:
         pk.restore(item, saved)
         return False
-    pk.restore(item, saved)
-    return False
+    _, j, k, dims, x, y, z = best
+    pk.place(item, j, k, dims, x, y, z)
+    return True
 
 
 def _move_swap(pk: _Packing, rng: random.Random) -> bool:

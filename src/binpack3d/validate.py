@@ -132,12 +132,15 @@ def check(instance: Instance, solution: PackingSolution) -> ViolationReport:
             pb, bb = boxes[b]
             if pa.bin != pb.bin or pa.item == pb.item:
                 continue
+            # open intervals overlap iff each starts before the other ends
+            if not (ba[0] < bb[3] and bb[0] < ba[3] and ba[1] < bb[4] and bb[1] < ba[4]
+                    and ba[2] < bb[5] and bb[2] < ba[5]):
+                continue
             ox = _overlap_1d(ba[0], ba[3], bb[0], bb[3])
             oy = _overlap_1d(ba[1], ba[4], bb[1], bb[4])
             oz = _overlap_1d(ba[2], ba[5], bb[2], bb[5])
-            if ox > 0 and oy > 0 and oz > 0:
-                i, k = sorted((pa.item, pb.item))
-                out.append(Violation(OVERLAP, (i, k), Fraction(ox * oy * oz)))
+            i, k = sorted((pa.item, pb.item))
+            out.append(Violation(OVERLAP, (i, k), Fraction(ox * oy * oz)))
 
     used = sorted({p.bin for p in solution.placements})
     if used and used != list(range(1, len(used) + 1)):
@@ -181,11 +184,8 @@ def check(instance: Instance, solution: PackingSolution) -> ViolationReport:
                 if pa.bin != pb.bin:
                     continue
                 # pb rests at or above pa's top with overlapping footprint
-                if bb[2] < ba[5]:
-                    continue
-                if _overlap_1d(ba[0], ba[3], bb[0], bb[3]) <= 0:
-                    continue
-                if _overlap_1d(ba[1], ba[4], bb[1], bb[4]) <= 0:
+                if not (bb[2] >= ba[5] and ba[0] < bb[3] and bb[0] < ba[3]
+                        and ba[1] < bb[4] and bb[1] < ba[4]):
                     continue
                 mua = instance.items[pa.item].mu
                 mub = instance.items[pb.item].mu

@@ -312,20 +312,25 @@ class TestSolverSettings:
     @pytest.mark.parametrize("field,value", [
         ("runs", 1.5), ("runs", True), ("iterations", 2.5), ("seed", "1"),
         ("time_limit", float("nan")), ("time_limit", float("-inf")), ("time_limit", "5"),
+        ("weights", (None, 1, 1)), ("weights", (1, 1)), ("weights", (True, 1, 1)),
+        ("weights", (1, float("nan"), 1)), ("weights", [1, 1, 1]),
     ])
     def test_config_rejects(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
             SolverConfig(**{field: value})
 
     @given(time_limit=SETTING_VALUES, seed=SETTING_VALUES, runs=SETTING_VALUES,
-           iterations=SETTING_VALUES)
-    def test_config_fuzz(self, time_limit, seed, runs, iterations):
+           iterations=SETTING_VALUES,
+           weights=SETTING_VALUES | st.lists(SETTING_VALUES, max_size=4).map(tuple))
+    def test_config_fuzz(self, time_limit, seed, runs, iterations, weights):
         """A SolverConfig either raises ValueError or holds usable values."""
         try:
             cfg = SolverConfig(time_limit=time_limit, seed=seed, runs=runs,
-                               iterations=iterations)
+                               iterations=iterations, weights=weights)
         except ValueError:
             return
+        assert len(cfg.weights) == 3
+        assert all(type(w) is int or type(w) is Fraction for w in cfg.weights)
         assert type(cfg.seed) is int and type(cfg.runs) is int and cfg.runs >= 1
         assert cfg.iterations is None or type(cfg.iterations) is int and cfg.iterations >= 0
         assert not isinstance(cfg.time_limit, bool)
@@ -415,12 +420,12 @@ class TestNoInputMutation:
 
 
 class TestStats:
-    def write_runlog(self, tmp_path, name, energies, time_limit):
+    def write_runlog(self, tmp_path, name, energies, time_limit, iterations=None):
         sol = PackingSolution((Placement(item=0, bin=1, k=1, x=0, y=0, z=0),), o1=1)
         doc = solution_to_dict(sol, energy=energies[0], solver="heuristic", seed=0,
-                               time_limit=time_limit, run_log=energies,
-                               instance_name=name)
-        path = tmp_path / f"{name}_{time_limit}.json"
+                               time_limit=time_limit, iterations=iterations,
+                               run_log=energies, instance_name=name)
+        path = tmp_path / f"{name}_{time_limit}_{iterations}.json"
         path.write_text(json.dumps(doc))
         return path
 
@@ -437,6 +442,16 @@ class TestStats:
         code, _, err = run(capsys, "stats", "--runlogs", str(good), str(bad))
         assert code == 2
         assert "solution.time_limit must be a finite number, got 'x'" in err
+
+    def test_time_and_iteration_budgets_get_own_rows(self, capsys, tmp_path):
+        """A 5-second log and a 5-iteration log of one instance are two rows."""
+        seconds = self.write_runlog(tmp_path, "toy", [1, 1], 5)
+        iterations = self.write_runlog(tmp_path, "toy", [3, 3], None, iterations=5)
+        code, stdout, _ = run(capsys, "stats", "--runlogs", str(seconds), str(iterations))
+        assert code == 0
+        rows = [ln.split() for ln in stdout.splitlines() if ln.startswith("toy")]
+        assert rows == [["toy", "5", "1.0", "0.0", "0.0", "1.0", "1.0"],
+                        ["toy", "5", "iterations", "3.0", "0.0", "0.0", "3.0", "3.0"]]
 
     def test_rows_per_time_limit_and_csv(self, capsys, tmp_path):
         paths = [self.write_runlog(tmp_path, "toy", [2, 2, 2], tl)

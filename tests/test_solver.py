@@ -27,7 +27,8 @@ from binpack3d import (
     solve_oracle,
 )
 from binpack3d.fileio import save_solution
-from binpack3d.solver.heuristic import CANDIDATE_CAP, _Bin, _Ctx, _Packing, _best_spot
+from binpack3d.solver.heuristic import (CANDIDATE_CAP, _Bin, _Ctx, _Packing, _best_spot,
+                                        _move_reinsert)
 from binpack3d.validate import check
 
 from helpers import enumerate_feasible, oracle_instance, respects_relpos, solvable_instance
@@ -114,6 +115,18 @@ class TestHeuristic:
         assert [(p.bin, p.x, p.y) for p in sol.placements] == [(1, 1, 0), (2, 2, 1)]
         assert check(inst, sol).feasible and sol.o1 == 2
 
+    def test_reinsert_that_empties_a_bin(self):
+        """Moving a bin's only item into another bin lowers o1, so the move is
+        accepted although the item's tail does not drop."""
+        inst = Instance(items=cubes(2), bin=BinSpec(2, 2, 2, n=2))
+        pk = _Packing(_Ctx(inst, (1, 1, 1)))
+        pk.bins.extend(_Bin() for _ in range(2))
+        pk.place(0, 0, 1, (1, 1, 1), 0, 0, 0)
+        pk.place(1, 1, 1, (1, 1, 1), 0, 0, 0)
+        _, tail = pk.score()
+        assert _move_reinsert(pk, random.Random(0), CANDIDATE_CAP, False)
+        assert pk.score() == (1, tail)
+
 
 class TestCanPlace:
     @settings(max_examples=300)
@@ -161,6 +174,21 @@ class TestCanPlace:
         assert got == (check(inst, sol).feasible and respects_relpos(inst, sol))
 
 
+def reference_candidates(bn):
+    """A bin's corner points rebuilt from its boxes: the origin and each box's
+    far corners (x1, y, z), (x, y1, z), (x, y, z1), sorted by (z, y, x)."""
+    pts = {(0, 0, 0)}
+    for (_, _, x, y, z, x1, y1, z1) in bn.boxes:
+        pts.update(((x1, y, z), (x, y1, z), (x, y, z1)))
+    return sorted(pts, key=lambda p: (p[2], p[1], p[0]))
+
+
+def reference_occupied(bn, x, y, z):
+    """Whether some box of the bin holds the point in its half-open extent."""
+    return any(ox <= x < ox1 and oy <= y < oy1 and oz <= z < oz1
+               for (_, _, ox, oy, oz, ox1, oy1, oz1) in bn.boxes)
+
+
 def reference_best_spot(pk, item, bins, rng, cap):
     """The exhaustive scan that _best_spot must agree with: can_place on every
     sampled candidate and orientation, keeping the first spot of least tail."""
@@ -170,7 +198,7 @@ def reference_best_spot(pk, item, bins, rng, cap):
         locked = pk.locked_bin(item)
         if locked is not None and locked != j:
             continue
-        cands = pk.candidates(j)
+        cands = reference_candidates(pk.bins[j])
         if len(cands) > cap:
             cands = sorted(rng.sample(cands, cap), key=lambda p: (p[2], p[1], p[0]))
         for (x, y, z) in cands:
@@ -182,13 +210,57 @@ def reference_best_spot(pk, item, bins, rng, cap):
     return best
 
 
+class TestCornerIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_rebuild(self, data):
+        """Random place, remove and remove-then-restore steps on a few bins,
+        with boxes on corner points or anywhere in bounds. Overlaps are
+        allowed, so a point can lie in several boxes. After every step each
+        bin's corner points and their occupancy equal the rebuild from its
+        boxes."""
+        draw = data.draw
+        L, W, H = (draw(st.integers(2, 6)) for _ in range(3))
+        n = draw(st.integers(1, 3))
+        m = draw(st.integers(1, 12))
+        items = tuple(Item(index=i, l=draw(st.integers(1, L)), w=draw(st.integers(1, W)),
+                           h=draw(st.integers(1, H)), mu=1, category=0) for i in range(m))
+        ctx = _Ctx(Instance(items=items, bin=BinSpec(L, W, H, n=n)), (1, 1, 1))
+        pk = _Packing(ctx)
+        pk.bins.extend(_Bin() for _ in range(n))
+        bounds = (L, W, H)
+        for _ in range(draw(st.integers(1, 40))):
+            item = draw(st.integers(0, m - 1))
+            if item in pk.pos:
+                saved = pk.remove(item)
+                if draw(st.booleans()):
+                    pk.restore(item, saved)
+            else:
+                j = draw(st.integers(0, n - 1))
+                k, dims = draw(st.sampled_from([(k, d) for k, d in ctx.orients[item]
+                                                if all(x <= b for x, b in zip(d, bounds))]))
+                corners = [p for p in pk.candidates(j)
+                           if all(c + d <= b for c, d, b in zip(p, dims, bounds))]
+                if corners and draw(st.booleans()):
+                    x, y, z = draw(st.sampled_from(corners))
+                else:
+                    x, y, z = (draw(st.integers(0, b - d)) for b, d in zip(bounds, dims))
+                pk.place(item, j, k, dims, x, y, z)
+            for j, bn in enumerate(pk.bins):
+                cands = pk.candidates(j)
+                assert cands == reference_candidates(bn)
+                assert [bn.occupied(*p) for p in cands] == \
+                    [reference_occupied(bn, *p) for p in cands]
+
+
 class TestBestSpot:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_exhaustive_scan(self, data):
         """On random partial packings with weight caps, negative and positive
         affinities and avoid/favour triples, _best_spot returns the reference
-        scan's spot and draws the same random numbers."""
+        scan's spot, or None when a drawn bound is not above its tail, and
+        draws the same random numbers."""
         draw = data.draw
         L, W, H = (draw(st.integers(3, 7)) for _ in range(3))
         n = draw(st.integers(1, 3))
@@ -238,8 +310,11 @@ class TestBestSpot:
             saved = pk.pos.get(item) and pk.remove(item)
             bins = [j for j in range(n) if draw(st.booleans())]
             rng_ref, rng_new = random.Random(seed), random.Random(seed)
-            assert _best_spot(pk, item, bins, rng_new, cap) == \
-                reference_best_spot(pk, item, bins, rng_ref, cap)
+            ref = reference_best_spot(pk, item, bins, rng_ref, cap)
+            bound = draw(st.none() | st.integers(-2, 2).map(
+                lambda d: (0 if ref is None else ref[0]) + d))
+            expected = ref if ref is not None and (bound is None or ref[0] < bound) else None
+            assert _best_spot(pk, item, bins, rng_new, cap, bound) == expected
             assert rng_new.getstate() == rng_ref.getstate()
             if saved:
                 pk.restore(item, saved)

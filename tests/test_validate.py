@@ -85,6 +85,14 @@ class TestCheck:
         sol = PackingSolution((place(0), place(1, x=1)))
         assert check(inst, sol).feasible
 
+    @pytest.mark.parametrize("dx,dy", [(-1, 0), (1, 0), (0, -1), (0, 1)])
+    def test_load_bearing_footprints_touching_ok(self, dx, dy):
+        """Heavy above light with footprints that only share an edge face."""
+        items = (Item(0, 1, 1, 1, 4, 0), Item(1, 1, 1, 1, 10, 1))
+        inst = Instance(items=items, bin=BinSpec(3, 3, 3, n=1), eta=Fraction(2))
+        sol = PackingSolution((place(0, x=1, y=1), place(1, x=1 + dx, y=1 + dy, z=1)))
+        assert check(inst, sol).feasible
+
     def test_load_bearing_light_on_heavy_ok(self):
         items = (Item(0, 1, 1, 1, 10, 0), Item(1, 1, 1, 1, 4, 1))
         inst = Instance(items=items, bin=BinSpec(3, 3, 3, n=1), eta=Fraction(2))
