@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Print digests that pin the model compiler's and the annealer's output.
+
+Two sections, each a sha256 over canonical text:
+
+* ``archetypes``: for each of the twelve archetypes (seed 0), the LP text,
+  the closed-form counts and the audit of the built model.
+* ``annealer``: ``solve_annealer`` (best placements, energy, run log) on a
+  fixed, seeded set of small random instances with fractional CoM targets,
+  fractional objective weights and every model feature; one short digest
+  per instance, then one over all of them.
+
+A refactor that must not change output leaves both lines the same, so run
+this on the old and the new tree and compare.
+
+Usage:
+    python scripts/model_digest.py [--instances 40] [--iterations 1500]
+"""
+
+import argparse
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+from binpack3d import (
+    Affinities,
+    BinSpec,
+    Instance,
+    Item,
+    SolverConfig,
+    archetype,
+    audit_counts,
+    build_model,
+    count_model,
+    lp_string,
+    solve_annealer,
+)
+
+
+def small_instance(rng: random.Random) -> Instance:
+    """Two to five items in one or two small bins, with a fractional CoM
+    target and, at random, a weight cap, eta, affinities and a favoured pair."""
+    m = rng.randint(2, 5)
+    n = rng.randint(1, 2)
+    L, W, H = (rng.randint(3, 6) for _ in range(3))
+    items = tuple(
+        Item(index=i, l=rng.randint(1, 3), w=rng.randint(1, 3), h=rng.randint(1, 3),
+             mu=rng.randint(1, 9), category=rng.randrange(3))
+        for i in range(m)
+    )
+    max_weight = None
+    if rng.random() < 0.3:
+        max_weight = max(it.mu for it in items) + rng.randint(0, 9)
+    negative = frozenset()
+    cats = sorted({it.category for it in items})
+    if rng.random() < 0.3 and len(cats) >= 2:
+        negative = frozenset({tuple(rng.sample(cats, 2))})
+    eta = Fraction(3, 2) if rng.random() < 0.4 else None
+    favour = frozenset()
+    if eta is None and rng.random() < 0.3:  # eta's avoid triples may clash with it
+        favour = frozenset({(0, 1, rng.randint(1, 6))})
+    return Instance(
+        items=items,
+        bin=BinSpec(L, W, H, max_weight=max_weight, n=n),
+        affinities=Affinities(negative=negative),
+        eta=eta,
+        com_target=(Fraction(rng.randint(0, 2 * L), 2), Fraction(rng.randint(0, 3 * W), 3)),
+        relpos_favour=favour,
+    )
+
+
+def archetype_digest() -> str:
+    h = hashlib.sha256()
+    for number in range(1, 13):
+        inst = archetype(number, seed=0)
+        model = build_model(inst)
+        h.update(lp_string(model).encode())
+        h.update(json.dumps(count_model(inst).as_dict(), sort_keys=True).encode())
+        h.update(repr(audit_counts(model)).encode())
+    return h.hexdigest()
+
+
+def annealer_digests(instances: int, iterations: int) -> list[tuple[str, object]]:
+    """(sha256, energy) of each instance's annealer result."""
+    rng = random.Random(20261018)
+    out = []
+    for trial in range(instances):
+        inst = small_instance(rng)
+        weights = (Fraction(rng.randint(1, 4), rng.randint(1, 3)),
+                   Fraction(rng.randint(1, 4), rng.randint(1, 3)),
+                   Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+        result = solve_annealer(inst, SolverConfig(
+            backend="annealer", iterations=iterations, seed=trial, runs=2, weights=weights))
+        text = repr((result.best, result.energy, result.run_log))
+        out.append((hashlib.sha256(text.encode()).hexdigest(), result.energy))
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--instances", type=int, default=40)
+    parser.add_argument("--iterations", type=int, default=1500)
+    args = parser.parse_args()
+    print(f"archetypes {archetype_digest()}")
+    results = annealer_digests(args.instances, args.iterations)
+    for trial, (digest, energy) in enumerate(results):
+        print(f"  instance {trial:2d} {digest[:12]} energy {energy}")
+    total = hashlib.sha256("".join(digest for digest, _ in results).encode()).hexdigest()
+    solved = sum(energy is not None for _, energy in results)
+    print(f"annealer   {total} ({solved}/{args.instances} solved)")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

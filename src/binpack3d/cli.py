@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import datagen, fileio
@@ -37,7 +36,7 @@ def cmd_generate(args) -> int:
             max_weight=args.max_weight,
             positive_affinities=args.pos_affinities,
             negative_affinities=args.neg_affinities,
-            eta=Fraction(args.eta) if args.eta else None,
+            eta=fileio.rational_from_json(args.eta) if args.eta else None,
             com_target=tuple(args.com) if args.com else None,
             bins_upper=args.bins,
             category_count=args.categories,

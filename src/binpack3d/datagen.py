@@ -63,6 +63,7 @@ class GenSpec:
             raise ValueError("size class probabilities must sum to 1")
         if self.positive_affinities < 0 or self.negative_affinities < 0:
             raise ValueError("affinity counts must be >= 0")
+        BinSpec(*self.bin_dims, max_weight=self.max_weight)  # generate divides by both
 
 
 def _pick_class(rng: random.Random, classes: tuple[SizeClass, ...]) -> SizeClass:

@@ -22,15 +22,22 @@ With ``reductions=False`` every variable exists and the avoid/favour
 preferences are enforced through explicit ``relpos_fix`` equality rows
 instead, which is useful for reduction-soundness testing.
 
-All coefficients, bounds and evaluations are exact rationals.
+All coefficients, bounds and evaluations are exact rationals. Each row and
+objective term is stored once, as integers over a positive scale (the lcm
+of its denominators), and one integer kernel evaluates it: ``evaluate`` and
+``objective_breakdown`` put the assignment over one common denominator, the
+annealer's integer states go through ``energy_terms``. Variable tags are
+private to this module and the LP writer; other code uses ``VariableIndex``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .core import (
     RELPOS,
@@ -65,12 +72,32 @@ class VariableRef:
     upper: Fraction
 
 
-class QuadExpr:
-    """constant + sum(c_i * x_i) + sum(c_ab * x_a * x_b), exact coefficients.
+class QuadExpr(NamedTuple):
+    """(constant + sum(c_i * x_i) + sum(c_ab * x_a * x_b)) / scale, with
+    integer coefficients, none zero, and quadratic keys a <= b."""
 
-    Quadratic keys are canonicalized with id_low <= id_high; zero
-    coefficients are purged on demand.
-    """
+    linear: tuple[tuple[int, int], ...]
+    quad: tuple[tuple[int, int, int], ...]
+    constant: int
+    scale: int
+
+    @property
+    def is_quadratic(self) -> bool:
+        return bool(self.quad)
+
+
+class Constraint(NamedTuple):
+    """expr <sense> rhs, with rhs an integer over the scale of expr (whose
+    constant is always 0: build_model moves it into rhs)."""
+
+    label: str
+    expr: QuadExpr
+    sense: Sense
+    rhs: int
+
+
+class _Terms:
+    """Build-time accumulator of exact terms, compiled once into a QuadExpr."""
 
     __slots__ = ("constant", "linear", "quad")
 
@@ -79,51 +106,28 @@ class QuadExpr:
         self.linear: dict[int, Fraction] = {}
         self.quad: dict[tuple[int, int], Fraction] = {}
 
-    def add_const(self, c: Number) -> "QuadExpr":
-        self.constant += Fraction(c)
-        return self
-
-    def add_linear(self, var: int, c: Number) -> "QuadExpr":
+    def add_linear(self, var: int, c: Number) -> None:
         self.linear[var] = self.linear.get(var, Fraction(0)) + Fraction(c)
-        return self
 
-    def add_quad(self, a: int, b: int, c: Number) -> "QuadExpr":
+    def add_quad(self, a: int, b: int, c: Number) -> None:
         key = (a, b) if a <= b else (b, a)
         self.quad[key] = self.quad.get(key, Fraction(0)) + Fraction(c)
-        return self
 
-    def purge_zeros(self) -> "QuadExpr":
-        self.linear = {v: c for v, c in self.linear.items() if c != 0}
-        self.quad = {k: c for k, c in self.quad.items() if c != 0}
-        return self
+    def compile(self, rhs: Fraction = Fraction(0)) -> tuple[QuadExpr, int]:
+        """The integer form, scaled by the lcm of every denominator (rhs's
+        too), and rhs over the same scale. Zero terms are dropped."""
+        linear = [(v, c) for v, c in self.linear.items() if c]
+        quad = [(a, b, c) for (a, b), c in self.quad.items() if c]
+        scale = math.lcm(self.constant.denominator, rhs.denominator,
+                         *(c.denominator for _, c in linear),
+                         *(c.denominator for _, _, c in quad))
 
-    @property
-    def is_quadratic(self) -> bool:
-        return bool(self.quad)
+        def scaled(c: Fraction) -> int:
+            return c.numerator * (scale // c.denominator)
 
-    def value(self, values: Sequence[Fraction]) -> Fraction:
-        total = self.constant
-        for var, c in self.linear.items():
-            total += c * values[var]
-        for (a, b), c in self.quad.items():
-            total += c * values[a] * values[b]
-        return total
-
-
-@dataclass(frozen=True)
-class Constraint:
-    label: str
-    expr: QuadExpr
-    sense: Sense
-    rhs: Fraction
-
-    def violation(self, values: Sequence[Fraction]) -> Fraction:
-        lhs = self.expr.value(values)
-        if self.sense is Sense.LE:
-            return max(Fraction(0), lhs - self.rhs)
-        if self.sense is Sense.GE:
-            return max(Fraction(0), self.rhs - lhs)
-        return abs(lhs - self.rhs)
+        return QuadExpr(tuple((v, scaled(c)) for v, c in linear),
+                        tuple((a, b, scaled(c)) for a, b, c in quad),
+                        scaled(self.constant), scale), scaled(rhs)
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,24 @@ class ReductionInfo:
 
 
 @dataclass
+class VariableIndex:
+    """Variable ids by family, filled as build_model adds the variables:
+    v[j-1], u[i][j-1], r[i][k], b[(i, k)][q], x[i], y[i], z[i], xt[i] and
+    yt[i]. r holds only items with orientation variables and b only pairs
+    with relative-position variables, both in id order."""
+
+    v: list[int] = field(default_factory=list)
+    u: list[list[int]] = field(default_factory=list)
+    r: dict[int, dict[int, int]] = field(default_factory=dict)
+    b: dict[tuple[int, int], dict[int, int]] = field(default_factory=dict)
+    x: list[int] = field(default_factory=list)
+    y: list[int] = field(default_factory=list)
+    z: list[int] = field(default_factory=list)
+    xt: list[int] = field(default_factory=list)
+    yt: list[int] = field(default_factory=list)
+
+
+@dataclass
 class QuadraticModel:
     variables: list[VariableRef]
     objective: QuadExpr
@@ -150,7 +172,9 @@ class QuadraticModel:
     reductions: ReductionInfo
     m: int
     n: int
+    index: VariableIndex = field(default_factory=VariableIndex)
     var_id: dict[str, int] = field(default_factory=dict)
+    row_scale: int = 1  # lcm of the rows' scales: a common unit for violations
 
     def variable(self, tag: str) -> VariableRef:
         return self.variables[self.var_id[tag]]
@@ -317,6 +341,7 @@ def build_model(instance: Instance,
 
     variables: list[VariableRef] = []
     var_id: dict[str, int] = {}
+    idx = VariableIndex()
 
     def add_var(tag: str, binary: bool, lower: Number, upper: Number) -> int:
         vid = len(variables)
@@ -325,230 +350,209 @@ def build_model(instance: Instance,
         return vid
 
     if n >= 2:
-        for j in range(1, n + 1):
-            add_var(f"v_{j}", True, 0, 1)
-        for i in range(m):
-            for j in range(1, n + 1):
-                add_var(f"u_{i}_{j}", True, 0, 1)
+        idx.v = [add_var(f"v_{j}", True, 0, 1) for j in range(1, n + 1)]
+        idx.u = [[add_var(f"u_{i}_{j}", True, 0, 1) for j in range(1, n + 1)]
+                 for i in range(m)]
     for item in instance.items:
-        for k in sorted(nonredundant_orientations(item)):
-            add_var(f"r_{item.index}_{k}", True, 0, 1)
+        ks = sorted(nonredundant_orientations(item))
+        if ks:
+            idx.r[item.index] = {k: add_var(f"r_{item.index}_{k}", True, 0, 1) for k in ks}
     pairs = [(i, k) for i in range(m) for k in range(i + 1, m)]
     for i, k in pairs:
-        for q in plan.b_free((i, k)) if reductions else range(1, 7):
-            add_var(f"b_{i}_{k}_{q}", True, 0, 1)
-    for i in range(m):
-        add_var(f"x_{i}", False, 0, n * L)
-    for i in range(m):
-        add_var(f"y_{i}", False, 0, W)
-    for i in range(m):
-        add_var(f"z_{i}", False, 0, H)
+        qs = plan.b_free((i, k)) if reductions else range(1, 7)
+        if qs:
+            idx.b[(i, k)] = {q: add_var(f"b_{i}_{k}_{q}", True, 0, 1) for q in qs}
+    idx.x = [add_var(f"x_{i}", False, 0, n * L) for i in range(m)]
+    idx.y = [add_var(f"y_{i}", False, 0, W) for i in range(m)]
+    idx.z = [add_var(f"z_{i}", False, 0, H) for i in range(m)]
     if has_com:
         lt, wt = instance.com_target
-        for i in range(m):
-            add_var(f"xt_{i}", False, 0, max(lt, L - lt))
-        for i in range(m):
-            add_var(f"yt_{i}", False, 0, max(wt, W - wt))
+        idx.xt = [add_var(f"xt_{i}", False, 0, max(lt, L - lt)) for i in range(m)]
+        idx.yt = [add_var(f"yt_{i}", False, 0, max(wt, W - wt)) for i in range(m)]
+    coords = (idx.x, idx.y, idx.z)
 
-    def eff_terms(item, axis: int) -> tuple[Fraction, list[tuple[int, Fraction]]]:
-        """Effective dim along axis as (constant, linear r-terms)."""
-        ks = sorted(nonredundant_orientations(item))
-        if not ks:
-            return Fraction(effective_dims(item, 1)[axis]), []
-        return Fraction(0), [
-            (var_id[f"r_{item.index}_{k}"], Fraction(effective_dims(item, k)[axis]))
-            for k in ks
-        ]
-
-    def add_eff(expr: QuadExpr, item, axis: int, scale: Number = 1) -> None:
-        const, terms = eff_terms(item, axis)
-        expr.add_const(const * Fraction(scale))
-        for vid, c in terms:
-            expr.add_linear(vid, c * Fraction(scale))
+    def add_eff(terms: _Terms, item, axis: int, scale: Number = 1) -> None:
+        """scale times the item's effective dim along axis: a constant for a
+        cube, else one term per orientation variable."""
+        if item.index not in idx.r:
+            terms.constant += effective_dims(item, 1)[axis] * Fraction(scale)
+            return
+        for k, vid in idx.r[item.index].items():
+            terms.add_linear(vid, effective_dims(item, k)[axis] * Fraction(scale))
 
     # objective terms
-    objective_terms: dict[str, QuadExpr] = {}
+    term_sums: dict[str, _Terms] = {}
     if n >= 2:
-        o1 = QuadExpr()
-        for j in range(1, n + 1):
-            o1.add_linear(var_id[f"v_{j}"], 1)
-        objective_terms["o1"] = o1
-    o2 = QuadExpr()
+        o1 = term_sums["o1"] = _Terms()
+        for vid in idx.v:
+            o1.add_linear(vid, 1)
+    o2 = term_sums["o2"] = _Terms()
     for item in instance.items:
-        o2.add_linear(var_id[f"z_{item.index}"], Fraction(1, m * H))
+        o2.add_linear(idx.z[item.index], Fraction(1, m * H))
         add_eff(o2, item, 2, Fraction(1, m * H))
-    objective_terms["o2"] = o2
     if has_com:
-        o3 = QuadExpr()
-        for i in range(m):
-            o3.add_linear(var_id[f"xt_{i}"], Fraction(1, m * L))
-        for i in range(m):
-            o3.add_linear(var_id[f"yt_{i}"], Fraction(1, m * W))
-        objective_terms["o3"] = o3
+        o3 = term_sums["o3"] = _Terms()
+        for vid in idx.xt:
+            o3.add_linear(vid, Fraction(1, m * L))
+        for vid in idx.yt:
+            o3.add_linear(vid, Fraction(1, m * W))
 
-    objective = QuadExpr()
+    objective = _Terms()
     for name, wgt in (("o1", w1), ("o2", w2), ("o3", w3)):
-        if name in objective_terms:
-            term = objective_terms[name]
-            objective.add_const(term.constant * wgt)
+        if name in term_sums:
+            term = term_sums[name]
+            objective.constant += term.constant * wgt
             for vid, c in term.linear.items():
                 objective.add_linear(vid, c * wgt)
-    objective.purge_zeros()
 
     constraints: list[Constraint] = []
 
-    def add_constraint(label: str, expr: QuadExpr, sense: Sense, rhs: Number) -> None:
-        rhs = Fraction(rhs) - expr.constant
-        expr.constant = Fraction(0)
-        expr.purge_zeros()
-        constraints.append(Constraint(label, expr, sense, rhs))
+    def add_constraint(label: str, terms: _Terms, sense: Sense, rhs: Number) -> None:
+        rhs = Fraction(rhs) - terms.constant
+        terms.constant = Fraction(0)
+        expr, scaled_rhs = terms.compile(rhs)
+        constraints.append(Constraint(label, expr, sense, scaled_rhs))
 
     # orientation uniqueness, one row per non-cube item
-    for item in instance.items:
-        ks = sorted(nonredundant_orientations(item))
-        if not ks:
-            continue
-        expr = QuadExpr()
-        for k in ks:
-            expr.add_linear(var_id[f"r_{item.index}_{k}"], 1)
-        add_constraint(f"orientation_{item.index}", expr, Sense.EQ, 1)
+    for i, ks in idx.r.items():
+        terms = _Terms()
+        for vid in ks.values():
+            terms.add_linear(vid, 1)
+        add_constraint(f"orientation_{i}", terms, Sense.EQ, 1)
 
     # pairwise non-overlap, big-M deactivated unless both items share bin j
     for i, k in pairs:
-        it_i, it_k = instance.items[i], instance.items[k]
         for q in plan.kept_rows((i, k)):
             big = _big_m(q, instance)
             for j in range(1, n + 1):
-                expr = QuadExpr()
+                terms = _Terms()
                 if n >= 2:
-                    expr.add_quad(var_id[f"u_{i}_{j}"], var_id[f"u_{k}_{j}"], big)
+                    terms.add_quad(idx.u[i][j - 1], idx.u[k][j - 1], big)
                 else:
-                    expr.add_const(big)
+                    terms.constant += big
                 bkey = (i, k, q)
                 if not reductions or bkey not in plan.fixed_b:
-                    expr.add_linear(var_id[f"b_{i}_{k}_{q}"], big)
+                    terms.add_linear(idx.b[(i, k)][q], big)
                 else:
-                    expr.add_const(big * plan.fixed_b[bkey])
+                    terms.constant += big * plan.fixed_b[bkey]
                 axis = {1: 0, 4: 0, 2: 1, 5: 1, 3: 2, 6: 2}[q]
                 front, back = ((i, k) if q in (1, 2, 3) else (k, i))
-                coord = "xyz"[axis]
-                expr.add_linear(var_id[f"{coord}_{front}"], 1)
-                add_eff(expr, instance.items[front], axis, 1)
-                expr.add_linear(var_id[f"{coord}_{back}"], -1)
-                add_constraint(f"nonoverlap_{i}_{k}_{q}_{j}", expr, Sense.LE, 2 * big)
-        free = plan.b_free((i, k)) if reductions else tuple(range(1, 7))
-        if free:
-            expr = QuadExpr()
-            for q in free:
-                expr.add_linear(var_id[f"b_{i}_{k}_{q}"], 1)
-            add_constraint(f"relpos_unique_{i}_{k}", expr, Sense.EQ, 1)
+                terms.add_linear(coords[axis][front], 1)
+                add_eff(terms, instance.items[front], axis, 1)
+                terms.add_linear(coords[axis][back], -1)
+                add_constraint(f"nonoverlap_{i}_{k}_{q}_{j}", terms, Sense.LE, 2 * big)
+        if (i, k) in idx.b:
+            terms = _Terms()
+            for vid in idx.b[(i, k)].values():
+                terms.add_linear(vid, 1)
+            add_constraint(f"relpos_unique_{i}_{k}", terms, Sense.EQ, 1)
 
     if n >= 2:
         for i in range(m):
-            expr = QuadExpr()
-            for j in range(1, n + 1):
-                expr.add_linear(var_id[f"u_{i}_{j}"], 1)
-            add_constraint(f"one_bin_{i}", expr, Sense.EQ, 1)
+            terms = _Terms()
+            for vid in idx.u[i]:
+                terms.add_linear(vid, 1)
+            add_constraint(f"one_bin_{i}", terms, Sense.EQ, 1)
         for j in range(1, n + 1):
-            expr = QuadExpr()
+            terms = _Terms()
             for i in range(m):
-                expr.add_linear(var_id[f"u_{i}_{j}"], 1)
-                expr.add_quad(var_id[f"v_{j}"], var_id[f"u_{i}_{j}"], -1)
-            add_constraint(f"bin_activation_{j}", expr, Sense.LE, 0)
+                terms.add_linear(idx.u[i][j - 1], 1)
+                terms.add_quad(idx.v[j - 1], idx.u[i][j - 1], -1)
+            add_constraint(f"bin_activation_{j}", terms, Sense.LE, 0)
         for j in range(1, n):
-            expr = QuadExpr()
-            expr.add_linear(var_id[f"v_{j}"], 1)
-            expr.add_linear(var_id[f"v_{j + 1}"], -1)
-            add_constraint(f"sequential_bins_{j}", expr, Sense.GE, 0)
+            terms = _Terms()
+            terms.add_linear(idx.v[j - 1], 1)
+            terms.add_linear(idx.v[j], -1)
+            add_constraint(f"sequential_bins_{j}", terms, Sense.GE, 0)
 
     # bin boundaries
     for item in instance.items:
         i = item.index
         for j in range(1, n + 1):
-            expr = QuadExpr()
-            expr.add_linear(var_id[f"x_{i}"], 1)
-            add_eff(expr, item, 0, 1)
+            terms = _Terms()
+            terms.add_linear(idx.x[i], 1)
+            add_eff(terms, item, 0, 1)
             if n >= 2:
-                expr.add_linear(var_id[f"u_{i}_{j}"], n * L)
-                add_constraint(f"boundary_x_{i}_{j}", expr, Sense.LE, j * L + n * L)
+                terms.add_linear(idx.u[i][j - 1], n * L)
+                add_constraint(f"boundary_x_{i}_{j}", terms, Sense.LE, j * L + n * L)
             else:
-                add_constraint(f"boundary_x_{i}_{j}", expr, Sense.LE, L)
+                add_constraint(f"boundary_x_{i}_{j}", terms, Sense.LE, L)
         if n >= 2:
             for j in range(2, n + 1):
-                expr = QuadExpr()
-                expr.add_linear(var_id[f"x_{i}"], 1)
-                expr.add_linear(var_id[f"u_{i}_{j}"], -(j - 1) * L)
-                add_constraint(f"boundary_xlo_{i}_{j}", expr, Sense.GE, 0)
+                terms = _Terms()
+                terms.add_linear(idx.x[i], 1)
+                terms.add_linear(idx.u[i][j - 1], -(j - 1) * L)
+                add_constraint(f"boundary_xlo_{i}_{j}", terms, Sense.GE, 0)
         for j in range(1, n + 1):
-            expr = QuadExpr()
-            expr.add_linear(var_id[f"y_{i}"], 1)
-            add_eff(expr, item, 1, 1)
+            terms = _Terms()
+            terms.add_linear(idx.y[i], 1)
+            add_eff(terms, item, 1, 1)
             if n >= 2:
-                expr.add_linear(var_id[f"u_{i}_{j}"], W)
-                add_constraint(f"boundary_y_{i}_{j}", expr, Sense.LE, 2 * W)
+                terms.add_linear(idx.u[i][j - 1], W)
+                add_constraint(f"boundary_y_{i}_{j}", terms, Sense.LE, 2 * W)
             else:
-                add_constraint(f"boundary_y_{i}_{j}", expr, Sense.LE, W)
+                add_constraint(f"boundary_y_{i}_{j}", terms, Sense.LE, W)
         for j in range(1, n + 1):
-            expr = QuadExpr()
-            expr.add_linear(var_id[f"z_{i}"], 1)
-            add_eff(expr, item, 2, 1)
+            terms = _Terms()
+            terms.add_linear(idx.z[i], 1)
+            add_eff(terms, item, 2, 1)
             if n >= 2:
-                expr.add_linear(var_id[f"u_{i}_{j}"], H)
-                add_constraint(f"boundary_z_{i}_{j}", expr, Sense.LE, 2 * H)
+                terms.add_linear(idx.u[i][j - 1], H)
+                add_constraint(f"boundary_z_{i}_{j}", terms, Sense.LE, 2 * H)
             else:
-                add_constraint(f"boundary_z_{i}_{j}", expr, Sense.LE, H)
+                add_constraint(f"boundary_z_{i}_{j}", terms, Sense.LE, H)
 
     # optional rows exist only when bins are selectable (the n=1 size tables
     # carry no overweight/affinity rows: with a single bin they are constants)
     if n >= 2:
         if instance.bin.max_weight is not None:
             for j in range(1, n + 1):
-                expr = QuadExpr()
+                terms = _Terms()
                 for item in instance.items:
-                    expr.add_linear(var_id[f"u_{item.index}_{j}"], item.mu)
-                add_constraint(f"overweight_{j}", expr, Sense.LE, instance.bin.max_weight)
+                    terms.add_linear(idx.u[item.index][j - 1], item.mu)
+                add_constraint(f"overweight_{j}", terms, Sense.LE, instance.bin.max_weight)
         neg_pairs, pos_pairs = plan.neg_item_pairs, plan.pos_item_pairs
         if neg_pairs or pos_pairs:
-            expr = QuadExpr()
+            terms = _Terms()
             for i, k in neg_pairs:
-                for j in range(1, n + 1):
-                    expr.add_quad(var_id[f"u_{i}_{j}"], var_id[f"u_{k}_{j}"], 1)
+                for j in range(n):
+                    terms.add_quad(idx.u[i][j], idx.u[k][j], 1)
             for i, k in pos_pairs:
-                for j in range(1, n + 1):
-                    expr.add_quad(var_id[f"u_{i}_{j}"], var_id[f"u_{k}_{j}"], -1)
+                for j in range(n):
+                    terms.add_quad(idx.u[i][j], idx.u[k][j], -1)
             if neg_pairs and pos_pairs:
                 label = "affinity_combined"
             elif neg_pairs:
                 label = "affinity_negative"
             else:
                 label = "affinity_positive"
-            add_constraint(label, expr, Sense.EQ, -len(pos_pairs))
+            add_constraint(label, terms, Sense.EQ, -len(pos_pairs))
 
     if has_com:
         lt, wt = instance.com_target
         for item in instance.items:
             i = item.index
             for sign, suffix in ((1, "plus"), (-1, "minus")):
-                expr = QuadExpr()
-                expr.add_linear(var_id[f"x_{i}"], sign)
-                add_eff(expr, item, 0, Fraction(sign, 2))
+                terms = _Terms()
+                terms.add_linear(idx.x[i], sign)
+                add_eff(terms, item, 0, Fraction(sign, 2))
                 if n >= 2:
                     for j in range(2, n + 1):
-                        expr.add_linear(var_id[f"u_{i}_{j}"], -sign * (j - 1) * L)
-                expr.add_linear(var_id[f"xt_{i}"], -1)
-                add_constraint(f"loadbal_x_{suffix}_{i}", expr, Sense.LE, sign * lt)
+                        terms.add_linear(idx.u[i][j - 1], -sign * (j - 1) * L)
+                terms.add_linear(idx.xt[i], -1)
+                add_constraint(f"loadbal_x_{suffix}_{i}", terms, Sense.LE, sign * lt)
             for sign, suffix in ((1, "plus"), (-1, "minus")):
-                expr = QuadExpr()
-                expr.add_linear(var_id[f"y_{i}"], sign)
-                add_eff(expr, item, 1, Fraction(sign, 2))
-                expr.add_linear(var_id[f"yt_{i}"], -1)
-                add_constraint(f"loadbal_y_{suffix}_{i}", expr, Sense.LE, sign * wt)
+                terms = _Terms()
+                terms.add_linear(idx.y[i], sign)
+                add_eff(terms, item, 1, Fraction(sign, 2))
+                terms.add_linear(idx.yt[i], -1)
+                add_constraint(f"loadbal_y_{suffix}_{i}", terms, Sense.LE, sign * wt)
 
     if not reductions:
         for i, k, q, val in plan.fix_rows:
-            expr = QuadExpr()
-            expr.add_linear(var_id[f"b_{i}_{k}_{q}"], 1)
-            add_constraint(f"relpos_fix_{i}_{k}_{q}", expr, Sense.EQ, val)
+            terms = _Terms()
+            terms.add_linear(idx.b[(i, k)][q], 1)
+            add_constraint(f"relpos_fix_{i}_{k}_{q}", terms, Sense.EQ, val)
 
     p_minus = sum(len(qs) for qs in plan.avoid_qs.values())
     p_plus = len(plan.favour_q)
@@ -566,14 +570,16 @@ def build_model(instance: Instance,
 
     return QuadraticModel(
         variables=variables,
-        objective=objective,
-        objective_terms=objective_terms,
+        objective=objective.compile()[0],
+        objective_terms={name: t.compile()[0] for name, t in term_sums.items()},
         constraints=constraints,
         weights=(w1, w2, w3),
         reductions=info,
         m=m,
         n=n,
+        index=idx,
         var_id=var_id,
+        row_scale=math.lcm(*(con.expr.scale for con in constraints)),
     )
 
 
@@ -627,8 +633,7 @@ def audit_counts(model: QuadraticModel) -> ModelCounts:
     by family (optional: xt/yt variables; overweight/affinity/loadbal/
     relpos_fix constraints); totals are directly comparable to count_model."""
     bin_mand = sum(1 for v in model.variables if v.binary)
-    cont_opt = sum(1 for v in model.variables
-                   if not v.binary and v.tag.split("_")[0] in ("xt", "yt"))
+    cont_opt = len(model.index.xt) + len(model.index.yt)
     cont_mand = sum(1 for v in model.variables if not v.binary) - cont_opt
     optional_families = ("overweight", "affinity", "loadbal", "relpos_fix")
     quad_mand = quad_opt = lin_mand = lin_opt = 0
@@ -643,44 +648,96 @@ def audit_counts(model: QuadraticModel) -> ModelCounts:
 
 
 # ---------------------------------------------------------------------------
-# evaluation / encoding
+# evaluation / encoding: one integer kernel for every caller
 
 Assignment = Mapping[str, Number]
 
 
-def _values_vector(model: QuadraticModel, assignment: Assignment) -> list[Fraction]:
+def _scaled_value(expr: QuadExpr, nums: Sequence[int], d: int) -> int:
+    """d*d*expr.scale times the value of expr at the values nums[id] / d."""
+    total = expr.constant * d
+    for vid, c in expr.linear:
+        total += c * nums[vid]
+    total *= d
+    for a, b, c in expr.quad:
+        total += c * nums[a] * nums[b]
+    return total
+
+
+def _row_gaps(model: QuadraticModel, nums: Sequence[int], d: int) -> list[int]:
+    """How far each row misses at the values nums[id] / d, in model order:
+    0 when it holds, else a positive integer in units of 1 / (d*d*row_scale).
+    The arithmetic of _scaled_value, inlined over all rows for speed (a
+    row's constant is always 0)."""
+    dd, common = d * d, model.row_scale
+    GE, EQ = Sense.GE, Sense.EQ
+    gaps = []
+    for _, (linear, quad, _, scale), sense, rhs in model.constraints:
+        total = 0
+        for vid, c in linear:
+            total += c * nums[vid]
+        total *= d
+        for a, b, c in quad:
+            total += c * nums[a] * nums[b]
+        gap = total - rhs * dd
+        if sense is GE:
+            gap = -gap
+        elif sense is EQ:
+            gap = abs(gap)
+        gaps.append(gap * (common // scale) if gap > 0 else 0)
+    return gaps
+
+
+def energy_terms(model: QuadraticModel, nums: Sequence[int]) -> tuple[Fraction, Fraction]:
+    """Exact objective and sum of squared row violations at an assignment of
+    integers, indexed by variable id."""
+    gaps = _row_gaps(model, nums, 1)
+    obj = model.objective
+    return (Fraction(_scaled_value(obj, nums, 1), obj.scale),
+            Fraction(sum(map(operator.mul, gaps, gaps)), model.row_scale ** 2))
+
+
+def _values_vector(model: QuadraticModel,
+                   assignment: Assignment) -> tuple[list[Fraction], list[int], int]:
+    """The assignment in id order, and as numerators nums over one common
+    denominator d."""
     values: list[Fraction] = []
     for var in model.variables:
         if var.tag not in assignment:
             raise ValueError(f"assignment is missing variable {var.tag}")
         values.append(Fraction(assignment[var.tag]))
-    return values
+    d = math.lcm(*(v.denominator for v in values))
+    return values, [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _value(expr: QuadExpr, nums: Sequence[int], d: int) -> Fraction:
+    return Fraction(_scaled_value(expr, nums, d), d * d * expr.scale)
 
 
 def evaluate(model: QuadraticModel, assignment: Assignment, *,
              check_bounds: bool = True
              ) -> tuple[Fraction, list[tuple[str, Fraction]]]:
     """Exact objective value and all violated constraints with magnitudes."""
-    values = _values_vector(model, assignment)
+    values, nums, d = _values_vector(model, assignment)
     violations: list[tuple[str, Fraction]] = []
     if check_bounds:
-        for var in model.variables:
-            val = values[var.id]
-            excess = max(var.lower - val, val - var.upper, Fraction(0))
+        for var, val in zip(model.variables, values):
             if var.binary and val not in (0, 1):
-                excess = max(excess, min(abs(val), abs(val - 1)))
-            if excess > 0:
-                violations.append((f"bound_{var.tag}", excess))
-    for con in model.constraints:
-        v = con.violation(values)
-        if v > 0:
-            violations.append((con.label, v))
-    return model.objective.value(values), violations
+                excess = max(var.lower - val, val - var.upper, min(abs(val), abs(val - 1)))
+            elif var.lower <= val <= var.upper:
+                continue
+            else:
+                excess = max(var.lower - val, val - var.upper)
+            violations.append((f"bound_{var.tag}", excess))
+    for con, gap in zip(model.constraints, _row_gaps(model, nums, d)):
+        if gap:
+            violations.append((con.label, Fraction(gap, d * d * model.row_scale)))
+    return _value(model.objective, nums, d), violations
 
 
 def objective_breakdown(model: QuadraticModel, assignment: Assignment) -> dict[str, Fraction]:
-    values = _values_vector(model, assignment)
-    return {name: term.value(values) for name, term in model.objective_terms.items()}
+    _, nums, d = _values_vector(model, assignment)
+    return {name: _value(term, nums, d) for name, term in model.objective_terms.items()}
 
 
 def encode_solution(instance: Instance, solution: PackingSolution, *,

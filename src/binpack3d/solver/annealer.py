@@ -1,10 +1,13 @@
 """Penalty-method simulated annealing over the compiled quadratic model.
 
-State is a full assignment (binary flips, integer coordinate steps, plus
-one-hot repair proposals for the u/b/v groups); energy is the float
-objective plus a growing penalty weight times the sum of squared constraint
-violations. A run only yields a solution when its best assignment has zero
-violations under exact rational evaluation.
+State is a full integer assignment (binary flips, integer coordinate steps,
+plus one-hot repair proposals for the u/b/v groups), indexed by variable id
+through the model's per-family id lists. Each state is evaluated exactly by
+the model's integer kernel: rows are integers over a positive scale, so the
+objective and the sum of squared constraint violations come out as exact
+rationals. Floats appear only in the Metropolis test, whose energy is the
+objective plus a growing penalty weight times that sum. A run only yields
+a solution when its best assignment has zero violations.
 """
 
 from __future__ import annotations
@@ -20,13 +23,10 @@ from ..core import (
     PackingSolution,
     Placement,
     effective_dims,
-    nonredundant_orientations,
 )
-from ..model import QuadraticModel, Sense, build_model, evaluate
+from ..model import QuadraticModel, build_model, energy_terms
 from ..validate import check, objectives
 from .config import SolveResult, SolverConfig, mix_seed, solution_energy
-
-_LE, _EQ, _GE = 0, 1, 2
 
 # annealing schedule: geometric cooling with a periodic reheat, and a
 # penalty weight on squared violations that grows every interval to a cap
@@ -39,100 +39,48 @@ PENALTY_INTERVAL = 600
 PENALTY_CAP = 200.0
 
 
-class _FastModel:
-    """Float view of the model for the annealing loop."""
-
-    def __init__(self, model: QuadraticModel) -> None:
-        self.model = model
-        self.nvars = len(model.variables)
-        self.binary = [v.binary for v in model.variables]
-        self.lower = [float(v.lower) for v in model.variables]
-        self.upper = [float(v.upper) for v in model.variables]
-        self.obj_const = float(model.objective.constant)
-        self.obj_lin = [(vid, float(c)) for vid, c in model.objective.linear.items()]
-        sense_code = {Sense.LE: _LE, Sense.EQ: _EQ, Sense.GE: _GE}
-        self.cons = []
-        for con in model.constraints:
-            self.cons.append((
-                sense_code[con.sense],
-                float(con.rhs),
-                [(vid, float(c)) for vid, c in con.expr.linear.items()],
-                [(a, b, float(c)) for (a, b), c in con.expr.quad.items()],
-            ))
-
-    def energy_parts(self, values: list[float]) -> tuple[float, float]:
-        obj = self.obj_const
-        for vid, c in self.obj_lin:
-            obj += c * values[vid]
-        viol2 = 0.0
-        for sense, rhs, lin, quad in self.cons:
-            lhs = 0.0
-            for vid, c in lin:
-                lhs += c * values[vid]
-            for a, b, c in quad:
-                lhs += c * values[a] * values[b]
-            if sense == _LE:
-                v = lhs - rhs
-                if v > 0:
-                    viol2 += v * v
-            elif sense == _GE:
-                v = rhs - lhs
-                if v > 0:
-                    viol2 += v * v
-            else:
-                v = lhs - rhs
-                viol2 += v * v
-        return obj, viol2
-
-
 def _initial_values(instance: Instance, model: QuadraticModel,
                     item_r: dict[int, list[tuple[int, int]]],
                     pair_b: dict[tuple[int, int], list[tuple[int, int]]],
                     rng: random.Random) -> list[int]:
     """Everything starts in bin 1 at random in-bin coordinates; the repair
     moves spread items out from there."""
+    index = model.index
     values = [0] * len(model.variables)
-    n, m = model.n, model.m
-    L = instance.bin.L
-    if n >= 2:
-        for i in range(m):
-            values[model.var_id[f"u_{i}_1"]] = 1
-        values[model.var_id["v_1"]] = 1
+    if model.n >= 2:
+        for ids in index.u:
+            values[ids[0]] = 1
+        values[index.v[0]] = 1
     for choices in item_r.values():
         values[choices[rng.randrange(len(choices))][1]] = 1
     for qs in pair_b.values():
         values[qs[rng.randrange(len(qs))][1]] = 1
+    # one draw per continuous variable in id order; x and xt stay inside bin 1
+    in_bin_1 = set(index.x) | set(index.xt)
     for var in model.variables:
-        if not var.binary and var.tag[0] in "xyz":
-            hi = min(int(var.upper), L - 1) if var.tag[0] == "x" else int(var.upper)
+        if not var.binary:
+            hi = min(int(var.upper), instance.bin.L - 1) if var.id in in_bin_1 else int(var.upper)
             values[var.id] = rng.randint(0, max(0, hi))
     return values
 
 
 def _decode(instance: Instance, model: QuadraticModel,
             values: list[int]) -> Optional[PackingSolution]:
-    n, m = model.n, model.m
+    index = model.index
     placements = []
-    for i in range(m):
-        if n >= 2:
-            bins = [j for j in range(1, n + 1) if values[model.var_id[f"u_{i}_{j}"]] == 1]
+    for i in range(model.m):
+        if model.n >= 2:
+            bins = [j for j, vid in enumerate(index.u[i], start=1) if values[vid] == 1]
             if len(bins) != 1:
                 return None
             j = bins[0]
         else:
             j = 1
-        item = instance.items[i]
-        ks = sorted(nonredundant_orientations(item))
-        if ks:
-            chosen = [k for k in ks if values[model.var_id[f"r_{i}_{k}"]] == 1]
-            if len(chosen) != 1:
-                return None
-            k = chosen[0]
-        else:
-            k = 1
-        x = int(values[model.var_id[f"x_{i}"]])
-        y = int(values[model.var_id[f"y_{i}"]])
-        z = int(values[model.var_id[f"z_{i}"]])
+        chosen = [k for k, vid in index.r.get(i, {}).items() if values[vid] == 1]
+        if i in index.r and len(chosen) != 1:
+            return None
+        k = chosen[0] if chosen else 1
+        x, y, z = (values[coord[i]] for coord in (index.x, index.y, index.z))
         placements.append(Placement(item=i, bin=j, k=k, x=x, y=y, z=z))
     sol = PackingSolution(tuple(placements))
     if not check(instance, sol).feasible:
@@ -141,36 +89,26 @@ def _decode(instance: Instance, model: QuadraticModel,
     return PackingSolution(sol.placements, o1=o1, o2=o2, o3=o3)
 
 
-def _anneal_run(instance: Instance, model: QuadraticModel, fast: _FastModel,
+def _anneal_run(instance: Instance, model: QuadraticModel,
                 config: SolverConfig, seed: int) -> Optional[list[int]]:
     rng = random.Random(seed)
     n, m = model.n, model.m
     L = instance.bin.L
     steps = sorted({1, max(1, L // 8), max(1, L // 2)})
 
+    index = model.index
+    binary = [v.binary for v in model.variables]
+    lower = [int(v.lower) for v in model.variables]
+    upper = [int(v.upper) for v in model.variables]
     cont_ids = [v.id for v in model.variables if not v.binary]
     bin_ids = [v.id for v in model.variables if v.binary]
-    item_u = {
-        i: [model.var_id[f"u_{i}_{j}"] for j in range(1, n + 1)]
-        for i in range(m)
-    } if n >= 2 else {}
-    item_r = {}
-    for item in instance.items:
-        ks = sorted(nonredundant_orientations(item))
-        if ks:
-            item_r[item.index] = [(k, model.var_id[f"r_{item.index}_{k}"]) for k in ks]
+    item_u = index.u
+    item_r = {i: list(ks.items()) for i, ks in index.r.items()}
     r_items = sorted(item_r)
-    pair_b: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for var in model.variables:
-        if var.tag.startswith("b_"):
-            _, i, k, q = var.tag.split("_")
-            pair_b.setdefault((int(i), int(k)), []).append((int(q), var.id))
+    pair_b = {pair: list(qs.items()) for pair, qs in index.b.items()}
     pairs = sorted(pair_b)
     values = _initial_values(instance, model, item_r, pair_b, rng)
-    coord_ids = {
-        i: (model.var_id[f"x_{i}"], model.var_id[f"y_{i}"], model.var_id[f"z_{i}"])
-        for i in range(m)
-    }
+    coord_ids = list(zip(index.x, index.y, index.z))
 
     def current_dims(i: int) -> tuple[int, int, int]:
         item = instance.items[i]
@@ -179,12 +117,12 @@ def _anneal_run(instance: Instance, model: QuadraticModel, fast: _FastModel,
                 return effective_dims(item, k)
         return (item.l, item.w, item.h)
 
-    obj, viol2 = fast.energy_parts(values)
+    obj, viol2 = energy_terms(model, values)
     pw = PENALTY_WEIGHT
     temp = INITIAL_TEMPERATURE
     best_values: Optional[list[int]] = None
     best_obj = math.inf
-    if viol2 == 0.0:
+    if viol2 == 0:
         best_values, best_obj = list(values), obj
 
     deadline = None if config.iterations is not None else (
@@ -212,7 +150,7 @@ def _anneal_run(instance: Instance, model: QuadraticModel, fast: _FastModel,
         elif r < 0.45 and cont_ids:
             vid = cont_ids[rng.randrange(len(cont_ids))]
             delta = steps[rng.randrange(len(steps))] * (1 if rng.random() < 0.5 else -1)
-            val = min(max(values[vid] + delta, int(fast.lower[vid])), int(fast.upper[vid]))
+            val = min(max(values[vid] + delta, lower[vid]), upper[vid])
             setval(vid, val)
         elif r < 0.60:
             # snap one item to a corner point induced by its bin mates
@@ -236,9 +174,9 @@ def _anneal_run(instance: Instance, model: QuadraticModel, fast: _FastModel,
                               (ox, oy, oz + do[2])))
             cx, cy, cz = cands[rng.randrange(len(cands))]
             xid, yid, zid = coord_ids[i]
-            setval(xid, min(max(cx + (j - 1) * L, int(fast.lower[xid])), int(fast.upper[xid])))
-            setval(yid, min(max(cy, int(fast.lower[yid])), int(fast.upper[yid])))
-            setval(zid, min(max(cz, int(fast.lower[zid])), int(fast.upper[zid])))
+            setval(xid, min(max(cx + (j - 1) * L, lower[xid]), upper[xid]))
+            setval(yid, min(max(cy, lower[yid]), upper[yid]))
+            setval(zid, min(max(cz, lower[zid]), upper[zid]))
         elif r < 0.72 and item_u:
             # move one item to a bin and resync every v with its column
             i = rng.randrange(m)
@@ -247,7 +185,7 @@ def _anneal_run(instance: Instance, model: QuadraticModel, fast: _FastModel,
                 setval(vid, 1 if jj == j else 0)
             for jj in range(1, n + 1):
                 used = any(values[item_u[ii][jj - 1]] for ii in range(m))
-                setval(model.var_id[f"v_{jj}"], 1 if used else 0)
+                setval(index.v[jj - 1], 1 if used else 0)
         elif r < 0.82 and r_items:
             i = r_items[rng.randrange(len(r_items))]
             choices = item_r[i]
@@ -270,16 +208,17 @@ def _anneal_run(instance: Instance, model: QuadraticModel, fast: _FastModel,
                 setval(vid, 1 if vid == chosen else 0)
         else:
             vid = bin_ids[rng.randrange(len(bin_ids))] if bin_ids else cont_ids[0]
-            setval(vid, 1 - values[vid] if fast.binary[vid] else values[vid])
+            setval(vid, 1 - values[vid] if binary[vid] else values[vid])
 
-        new_obj, new_viol2 = fast.energy_parts(values)
-        old_e = obj + pw * viol2
-        new_e = new_obj + pw * new_viol2
+        new_obj, new_viol2 = energy_terms(model, values)
+        # rounded once from the exact energies, so exact ties stay ties
+        old_e = float(obj + Fraction(pw) * viol2)
+        new_e = float(new_obj + Fraction(pw) * new_viol2)
         accept = new_e <= old_e or rng.random() < math.exp(
             min(0.0, (old_e - new_e) / max(temp, 1e-12)))
         if accept:
             obj, viol2 = new_obj, new_viol2
-            if viol2 == 0.0 and obj < best_obj:
+            if viol2 == 0 and obj < best_obj:
                 best_values, best_obj = list(values), obj
         else:
             for vid, old in reversed(touched):
@@ -295,18 +234,12 @@ def _anneal_run(instance: Instance, model: QuadraticModel, fast: _FastModel,
 def solve_annealer(instance: Instance, config: SolverConfig) -> SolveResult:
     started = time.monotonic()
     model = build_model(instance, config.weights)
-    fast = _FastModel(model)
     best_sol: Optional[PackingSolution] = None
     best_energy: Optional[Fraction] = None
     run_log: list[Fraction] = []
     for run in range(config.runs):
-        values = _anneal_run(instance, model, fast, config,
-                             mix_seed(config.seed, run))
+        values = _anneal_run(instance, model, config, mix_seed(config.seed, run))
         if values is None:
-            continue
-        assignment = {var.tag: values[var.id] for var in model.variables}
-        _, violations = evaluate(model, assignment)
-        if violations:
             continue
         sol = _decode(instance, model, values)
         if sol is None:

@@ -231,6 +231,18 @@ class _Packing:
             return False
         return self.admits(item, j) and self.fits(item, j, dims, x, y, z)
 
+    def least_tail_at(self, item: int, j: int, x: int, y: int, z: int
+                      ) -> Optional[tuple[int, int, tuple]]:
+        """(tail, k, dims) of the first orientation of least item tail that
+        can_place admits at the fixed spot (x, y, z) of bin j, or None."""
+        best = None
+        for k, dims in self.ctx.orients[item]:
+            if self.can_place(item, j, dims, x, y, z):
+                tail = self.ctx.item_tail(item, x, y, z, dims)
+                if best is None or tail < best[0]:
+                    best = (tail, k, dims)
+        return best
+
     def place(self, item: int, j: int, k: int, dims, x: int, y: int, z: int) -> None:
         a, b, c = dims
         bn = self.bins[j]
@@ -395,26 +407,14 @@ def _move_swap(pk: _Packing, rng: random.Random) -> bool:
     before = pk.score()
     si = pk.remove(i)
     so = pk.remove(o)
-    ctx = pk.ctx
-
-    def try_at(item: int, spot: tuple) -> Optional[tuple]:
-        j, _, x, y, z = spot[0], spot[1], spot[2], spot[3], spot[4]
-        best = None
-        for k, dims in ctx.orients[item]:
-            if pk.can_place(item, j, dims, x, y, z):
-                tail = ctx.item_tail(item, x, y, z, dims)
-                if best is None or tail < best[0]:
-                    best = (tail, j, k, dims, x, y, z)
-        return best
-
     placed = []
     ok = True
-    for item, spot in ((i, so), (o, si)):
-        got = try_at(item, spot)
+    for item, (j, _, x, y, z, *_) in ((i, so), (o, si)):
+        got = pk.least_tail_at(item, j, x, y, z)
         if got is None:
             ok = False
             break
-        _, j, k, dims, x, y, z = got
+        _, k, dims = got
         pk.place(item, j, k, dims, x, y, z)
         placed.append(item)
     if ok and pk.score() < before:
@@ -429,18 +429,12 @@ def _move_swap(pk: _Packing, rng: random.Random) -> bool:
 def _move_reorient(pk: _Packing, rng: random.Random) -> bool:
     items = sorted(pk.pos)
     item = items[rng.randrange(len(items))]
-    ctx = pk.ctx
-    if len(ctx.orients[item]) < 2:
+    if len(pk.ctx.orients[item]) < 2:
         return False
     before = pk.score()
     saved = pk.remove(item)
-    j, old_k, x, y, z = saved[0], saved[1], saved[2], saved[3], saved[4]
-    best = None
-    for k, dims in ctx.orients[item]:
-        if pk.can_place(item, j, dims, x, y, z):
-            tail = ctx.item_tail(item, x, y, z, dims)
-            if best is None or tail < best[0]:
-                best = (tail, k, dims)
+    j, _, x, y, z = saved[:5]
+    best = pk.least_tail_at(item, j, x, y, z)
     if best is not None:
         _, k, dims = best
         pk.place(item, j, k, dims, x, y, z)

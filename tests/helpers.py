@@ -19,6 +19,7 @@ from binpack3d import (
     allowed_orientations,
     effective_dims,
 )
+from binpack3d.model import QuadExpr, QuadraticModel, Sense
 from binpack3d.validate import check
 
 REPO = Path(__file__).resolve().parents[1]
@@ -230,3 +231,41 @@ def enumerate_feasible(instance: Instance) -> list[PackingSolution]:
         if check(instance, sol).feasible:
             out.append(sol)
     return out
+
+
+def reference_evaluate(model: QuadraticModel, assignment, *, check_bounds: bool = True
+                       ) -> tuple[Fraction, list[tuple[str, Fraction]], dict[str, Fraction]]:
+    """The objective, the violation list and the objective breakdown, summed
+    term by term in Fractions: the evaluator the model's integer kernel
+    replaced, kept here as its referee."""
+    values = [Fraction(assignment[var.tag]) for var in model.variables]
+
+    def value(expr: QuadExpr) -> Fraction:
+        total = Fraction(expr.constant, expr.scale)
+        for var, c in expr.linear:
+            total += Fraction(c, expr.scale) * values[var]
+        for a, b, c in expr.quad:
+            total += Fraction(c, expr.scale) * values[a] * values[b]
+        return total
+
+    violations: list[tuple[str, Fraction]] = []
+    if check_bounds:
+        for var in model.variables:
+            val = values[var.id]
+            excess = max(var.lower - val, val - var.upper, Fraction(0))
+            if var.binary and val not in (0, 1):
+                excess = max(excess, min(abs(val), abs(val - 1)))
+            if excess > 0:
+                violations.append((f"bound_{var.tag}", excess))
+    for con in model.constraints:
+        lhs, rhs = value(con.expr), Fraction(con.rhs, con.expr.scale)
+        if con.sense is Sense.LE:
+            miss = max(Fraction(0), lhs - rhs)
+        elif con.sense is Sense.GE:
+            miss = max(Fraction(0), rhs - lhs)
+        else:
+            miss = abs(lhs - rhs)
+        if miss > 0:
+            violations.append((con.label, miss))
+    breakdown = {name: value(term) for name, term in model.objective_terms.items()}
+    return value(model.objective), violations, breakdown

@@ -85,6 +85,17 @@ class TestGenerate:
         assert code == 2
         assert "1..12" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--bin", "5", "5", "5", "--eta", "1/0"], "expected a rational, got '1/0'"),
+        (["--bin", "0", "5", "5"], "bin dims must be >= 1"),
+        (["--bin", "5", "5", "5", "--max-weight", "0"], "max_weight must be >= 1"),
+    ])
+    def test_malformed_spec_exits_2(self, capsys, tmp_path, flags, message):
+        code, _, err = run(capsys, "generate", "--items", "3", *flags,
+                           "--out", str(tmp_path / "x.json"))
+        assert code == 2
+        assert message in err
+
     def test_custom_spec(self, capsys, tmp_path):
         out = tmp_path / "c.json"
         code, _, _ = run(capsys, "generate", "--items", "5", "--bin", "30", "30", "30",
@@ -255,6 +266,8 @@ SETTING_VALUES = (st.none() | st.booleans() | st.integers(-2, 10 ** 6)
                   | st.text(max_size=3))
 FLAG_VALUES = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1", "0", "1", "2",
                                "0.5", "1.5", "true", "x", ""])
+SMALL_INTS = st.sampled_from(["-1", "0", "1", "2", "3"])
+GENERATE_VALUES = SMALL_INTS | st.sampled_from(["1/0", "3/2", "nan", "x", ""])
 
 
 class TestFuzzJsonBoundary:
@@ -355,6 +368,27 @@ class TestSolverSettings:
             except SystemExit as exc:  # argparse refuses a malformed number
                 code = exc.code
             assert code in (0, 2, 3)
+
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.dictionaries(st.sampled_from(["--eta", "--max-weight", "--pos-affinities",
+                                            "--neg-affinities", "--categories", "--bins",
+                                            "--seed"]), GENERATE_VALUES),
+           st.lists(SMALL_INTS, min_size=3, max_size=3), SMALL_INTS)
+    def test_generate_flags_fuzz(self, flags, bin_dims, items):
+        """Random generate flags: exit 0 or 2, never a traceback. Every value
+        is small, so no instance grows large."""
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["generate", "--items", items, "--bin", *bin_dims,
+                    "--out", str(Path(tmp) / "inst.json")]
+            for flag, value in flags.items():
+                argv += [flag, value]
+            try:
+                code = quietly(argv)
+            except SystemExit as exc:  # argparse refuses a malformed number
+                code = exc.code
+            assert code in (0, 2)
 
 
 class TestValidate:

@@ -1,7 +1,9 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from binpack3d import (
     Affinities,
@@ -23,7 +25,7 @@ from binpack3d import (
 )
 from binpack3d.validate import check, objectives
 
-from helpers import FEATURES, random_instance, solvable_instance
+from helpers import FEATURES, random_instance, reference_evaluate, solvable_instance
 
 
 def distinct_items(dims_list, bin_spec, **inst_kw):
@@ -310,3 +312,82 @@ class TestReductionSoundness:
                 asg = encode_solution(inst, result.best, reductions=reductions)
                 _, violations = evaluate(model, asg)
                 assert violations == [], (trial, reductions)
+
+
+def fractional_com(rng: random.Random, inst: Instance) -> Instance:
+    """The instance with a CoM target whose coordinates are thirds and halves."""
+    lt = Fraction(rng.randint(0, 3 * inst.bin.L), 3)
+    wt = Fraction(rng.randint(0, 2 * inst.bin.W), 2)
+    return dataclasses.replace(inst, com_target=(lt, wt))
+
+
+class TestIntegerKernel:
+    """evaluate and objective_breakdown (integer rows over one common
+    denominator) against the term-by-term Fraction evaluator."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2 ** 32 - 1), reductions=st.booleans(),
+           check_bounds=st.booleans(),
+           kind=st.sampled_from(["feasible", "perturbed", "random"]))
+    def test_matches_reference(self, seed, reductions, check_bounds, kind):
+        rng = random.Random(seed)
+        weights = tuple(Fraction(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(3))
+        if kind == "random":
+            inst = fractional_com(rng, random_instance(rng, features=FEATURES))
+            try:
+                model = build_model(inst, weights, reductions=reductions)
+            except ModelBuildError:
+                return
+            # whole numbers, halves and thirds from -2 to upper + 2: values out
+            # of bounds and, for binaries, values other than 0 and 1
+            assignment = {var.tag: Fraction(rng.randint(-6, 3 * int(var.upper) + 6),
+                                            rng.randint(1, 3))
+                          for var in model.variables}
+        else:
+            inst = fractional_com(rng, solvable_instance(
+                rng, features=("overweight", "negative", "positive", "eta", "com")))
+            result = solve_heuristic(inst, SolverConfig(iterations=5, seed=seed % 1000))
+            if result.best is None:
+                return
+            model = build_model(inst, weights, reductions=reductions)
+            assignment = encode_solution(inst, result.best, reductions=reductions)
+            if kind == "perturbed":
+                tags = sorted(assignment)
+                for tag in rng.sample(tags, rng.randint(1, min(4, len(tags)))):
+                    assignment[tag] += Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
+        objective, violations = evaluate(model, assignment, check_bounds=check_bounds)
+        ref_objective, ref_violations, ref_breakdown = reference_evaluate(
+            model, assignment, check_bounds=check_bounds)
+        assert objective == ref_objective
+        assert violations == ref_violations
+        assert objective_breakdown(model, assignment) == ref_breakdown
+        if kind == "feasible":
+            assert violations == []
+
+
+class TestVariableIndex:
+    @pytest.mark.parametrize("reductions", [True, False])
+    def test_families_partition_variables_and_match_tags(self, reductions):
+        rng = random.Random(77)
+        for trial in range(40):
+            inst = random_instance(rng, features=rng.sample(FEATURES, rng.randint(0, 7)))
+            try:
+                model = build_model(inst, reductions=reductions)
+            except ModelBuildError:
+                continue
+            idx = model.index
+            tagged = [(vid, f"v_{j}") for j, vid in enumerate(idx.v, start=1)]
+            tagged += [(vid, f"u_{i}_{j}") for i, ids in enumerate(idx.u)
+                       for j, vid in enumerate(ids, start=1)]
+            tagged += [(vid, f"r_{i}_{k}") for i, ks in idx.r.items() for k, vid in ks.items()]
+            tagged += [(vid, f"b_{i}_{k}_{q}") for (i, k), qs in idx.b.items()
+                       for q, vid in qs.items()]
+            for family in ("x", "y", "z", "xt", "yt"):
+                tagged += [(vid, f"{family}_{i}")
+                           for i, vid in enumerate(getattr(idx, family))]
+            assert sorted(vid for vid, _ in tagged) == list(range(len(model.variables))), trial
+            for vid, tag in tagged:
+                assert model.variables[vid].tag == tag, trial
+            assert len(idx.u) == (inst.m if inst.bin.n >= 2 else 0)
+            assert all(len(ids) == inst.bin.n for ids in idx.u)
+            assert len(idx.xt) == (inst.m if inst.com_target is not None else 0)
