@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Print digests that pin the model compiler's and the annealer's output.
+"""Print digests that pin the model compiler's and the solvers' output.
 
-Two sections, each a sha256 over canonical text:
+Four sections, each a sha256 over canonical text:
 
 * ``archetypes``: for each of the twelve archetypes (seed 0), the LP text,
   the closed-form counts and the audit of the built model.
@@ -9,8 +9,14 @@ Two sections, each a sha256 over canonical text:
   fixed, seeded set of small random instances with fractional CoM targets,
   fractional objective weights and every model feature; one short digest
   per instance, then one over all of them.
+* ``heuristic``: ``solve_heuristic`` (best placements, energy, run log and
+  checkpoint energies at iterations 0, 10 and 40) on archetypes 1-12 with
+  seeds 0 and 1, 40 iterations and two runs each.
+* ``oracle``: ``solve_oracle`` (best placements, energy, run log and
+  infeasibility reason) on a fixed, seeded set of instances within the
+  oracle's caps, with fractional objective weights.
 
-A refactor that must not change output leaves both lines the same, so run
+A refactor that must not change output leaves every line the same, so run
 this on the old and the new tree and compare.
 
 Usage:
@@ -35,7 +41,11 @@ from binpack3d import (
     count_model,
     lp_string,
     solve_annealer,
+    solve_heuristic,
+    solve_oracle,
 )
+
+ORACLE_INSTANCES = 12
 
 
 def small_instance(rng: random.Random) -> Instance:
@@ -97,6 +107,42 @@ def annealer_digests(instances: int, iterations: int) -> list[tuple[str, object]
     return out
 
 
+def heuristic_digest() -> str:
+    h = hashlib.sha256()
+    for number in range(1, 13):
+        for seed in (0, 1):
+            result = solve_heuristic(archetype(number, seed=seed),
+                                     SolverConfig(iterations=40, seed=seed, runs=2),
+                                     checkpoints=[0, 10, 40])
+            h.update(repr((result.best, result.energy, result.run_log,
+                           result.checkpoint_runs)).encode())
+    return h.hexdigest()
+
+
+def oracle_digest() -> str:
+    """Two or three items in one or two bins of volume at most 64."""
+    rng = random.Random(20261019)
+    h = hashlib.sha256()
+    for _ in range(ORACLE_INSTANCES):
+        m = rng.randint(2, 3)
+        items = tuple(Item(index=i, l=rng.randint(1, 2), w=rng.randint(1, 2),
+                           h=rng.randint(1, 2), mu=rng.randint(1, 4), category=i)
+                      for i in range(m))
+        inst = Instance(
+            items=items,
+            bin=BinSpec(rng.randint(2, 4), 2, rng.randint(2, 4), n=rng.randint(1, 2)),
+            affinities=Affinities(negative=frozenset({(0, 1)}) if rng.random() < 0.3
+                                  else frozenset()),
+            com_target=(Fraction(rng.randint(0, 4), 2), Fraction(1)) if rng.random() < 0.5
+            else None,
+        )
+        weights = (1, Fraction(rng.randint(1, 3), 2), Fraction(rng.randint(1, 3), 3))
+        result = solve_oracle(inst, weights=weights)
+        h.update(repr((result.best, result.energy, result.run_log,
+                       result.infeasible_reason)).encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=40)
@@ -109,6 +155,8 @@ def main() -> int:
     total = hashlib.sha256("".join(digest for digest, _ in results).encode()).hexdigest()
     solved = sum(energy is not None for _, energy in results)
     print(f"annealer   {total} ({solved}/{args.instances} solved)")
+    print(f"heuristic  {heuristic_digest()}")
+    print(f"oracle     {oracle_digest()}")
     return 0
 
 

@@ -40,7 +40,6 @@ from .model import (
 from .render import PALETTE10, render_svg, render_to_file
 from .solver import (
     OracleCapError,
-    OracleLimits,
     RunStats,
     SolveResult,
     SolverConfig,

@@ -161,6 +161,9 @@ class Instance:
         for item in items:
             if not any(fits_in_bin(item, k, self.bin) for k in ORIENTATIONS):
                 raise ValueError(f"item {item.index} fits in no orientation")
+            if self.bin.max_weight is not None and item.mu > self.bin.max_weight:
+                raise ValueError(f"item {item.index} weighs {item.mu}, "
+                                 f"over the bin cap M={self.bin.max_weight}")
 
         if self.affinities.negative:
             count: dict[int, int] = {}

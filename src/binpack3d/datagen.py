@@ -142,6 +142,10 @@ def generate(spec: GenSpec) -> Instance:
                 dataclasses.replace(it, mu=max(1, (it.mu * cap) // total))
                 for it in items
             ]
+            # each weight is floored at 1, so the total may still exceed M * n
+            total = sum(it.mu for it in items)
+            if total > spec.max_weight * n:
+                raise ValueError(f"total weight {total} exceeds M * n = {spec.max_weight * n}")
 
     com = None
     if spec.com_target is not None:

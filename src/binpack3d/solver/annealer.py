@@ -7,14 +7,14 @@ the model's integer kernel: rows are integers over a positive scale, so the
 objective and the sum of squared constraint violations come out as exact
 rationals. Floats appear only in the Metropolis test, whose energy is the
 objective plus a growing penalty weight times that sum. A run only yields
-a solution when its best assignment has zero violations.
+a solution when its best assignment has zero violations. Seeding, budget,
+validator pass and result come from the run driver, config.run_backend.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import time
 from fractions import Fraction
 from typing import Optional
 
@@ -25,8 +25,7 @@ from ..core import (
     effective_dims,
 )
 from ..model import QuadraticModel, build_model, energy_terms
-from ..validate import check, objectives
-from .config import SolveResult, SolverConfig, mix_seed, solution_energy
+from .config import NoSolution, SolveResult, SolverConfig, Stop, run_backend
 
 # annealing schedule: geometric cooling with a periodic reheat, and a
 # penalty weight on squared violations that grows every interval to a cap
@@ -64,34 +63,21 @@ def _initial_values(instance: Instance, model: QuadraticModel,
     return values
 
 
-def _decode(instance: Instance, model: QuadraticModel,
-            values: list[int]) -> Optional[PackingSolution]:
+def _decode(model: QuadraticModel, values: list[int]) -> PackingSolution:
+    """The placements of a violation-free assignment: its one_bin and
+    orientation rows hold, so each item has exactly one bin and orientation."""
     index = model.index
     placements = []
     for i in range(model.m):
-        if model.n >= 2:
-            bins = [j for j, vid in enumerate(index.u[i], start=1) if values[vid] == 1]
-            if len(bins) != 1:
-                return None
-            j = bins[0]
-        else:
-            j = 1
-        chosen = [k for k, vid in index.r.get(i, {}).items() if values[vid] == 1]
-        if i in index.r and len(chosen) != 1:
-            return None
-        k = chosen[0] if chosen else 1
+        j = 1 + [values[vid] for vid in index.u[i]].index(1) if model.n >= 2 else 1
+        k = next((k for k, vid in index.r.get(i, {}).items() if values[vid]), 1)
         x, y, z = (values[coord[i]] for coord in (index.x, index.y, index.z))
         placements.append(Placement(item=i, bin=j, k=k, x=x, y=y, z=z))
-    sol = PackingSolution(tuple(placements))
-    if not check(instance, sol).feasible:
-        return None
-    o1, o2, o3 = objectives(instance, sol)
-    return PackingSolution(sol.placements, o1=o1, o2=o2, o3=o3)
+    return PackingSolution(tuple(placements))
 
 
-def _anneal_run(instance: Instance, model: QuadraticModel,
-                config: SolverConfig, seed: int) -> Optional[list[int]]:
-    rng = random.Random(seed)
+def _anneal_run(instance: Instance, model: QuadraticModel, rng: random.Random,
+                stop: Stop) -> Optional[list[int]]:
     n, m = model.n, model.m
     L = instance.bin.L
     steps = sorted({1, max(1, L // 8), max(1, L // 2)})
@@ -125,16 +111,8 @@ def _anneal_run(instance: Instance, model: QuadraticModel,
     if viol2 == 0:
         best_values, best_obj = list(values), obj
 
-    deadline = None if config.iterations is not None else (
-        time.monotonic() + config.time_limit)
-    budget = config.iterations if config.iterations is not None else None
     iters = 0
-    while True:
-        if budget is not None:
-            if iters >= budget:
-                break
-        elif iters % 64 == 0 and time.monotonic() >= deadline:
-            break
+    while not stop(iters):
         iters += 1
         touched: list[tuple[int, int]] = []
 
@@ -232,26 +210,14 @@ def _anneal_run(instance: Instance, model: QuadraticModel,
 
 
 def solve_annealer(instance: Instance, config: SolverConfig) -> SolveResult:
-    started = time.monotonic()
-    model = build_model(instance, config.weights)
-    best_sol: Optional[PackingSolution] = None
-    best_energy: Optional[Fraction] = None
-    run_log: list[Fraction] = []
-    for run in range(config.runs):
-        values = _anneal_run(instance, model, config, mix_seed(config.seed, run))
+    """Penalty annealing over the compiled model, config.runs times. The
+    reported energy is the weighted objective of the decoded placements (the
+    raw assignment may leave slack in the deviation variables)."""
+
+    def run(model: QuadraticModel, rng: random.Random, stop: Stop):
+        values = _anneal_run(instance, model, rng, stop)
         if values is None:
-            continue
-        sol = _decode(instance, model, values)
-        if sol is None:
-            continue
-        # reported energy is the weighted objective of the canonical encoding
-        # (the raw assignment may leave slack in the deviation variables)
-        energy = solution_energy(instance, sol.o1, sol.o2, sol.o3, config.weights)
-        run_log.append(energy)
-        if best_energy is None or energy < best_energy:
-            best_sol, best_energy = sol, energy
-    elapsed = 0.0 if config.iterations is not None else time.monotonic() - started
-    if best_sol is None:
-        return SolveResult(None, None, elapsed, tuple(run_log),
-                           infeasible_reason="annealer found no violation-free assignment")
-    return SolveResult(best_sol, best_energy, elapsed, tuple(run_log))
+            raise NoSolution("annealer found no violation-free assignment")
+        return _decode(model, values), None
+
+    return run_backend(instance, config, lambda: build_model(instance, config.weights), run)

@@ -1,14 +1,18 @@
-"""Solver configuration and result types shared by all backends."""
+"""Solver configuration, result types and the run driver shared by the
+seeded backends."""
 
 from __future__ import annotations
 
 import math
+import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from ..core import Instance, PackingSolution, _require_ints
+from ..validate import objectives
 
 Number = Union[int, Fraction]
 
@@ -60,10 +64,6 @@ class SolveResult:
     infeasible_reason: Optional[str] = None
     checkpoint_runs: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
-    @property
-    def feasible(self) -> bool:
-        return self.best is not None
-
 
 def solution_energy(instance: Instance, o1: int, o2: Fraction,
                     o3: Optional[Fraction],
@@ -81,3 +81,59 @@ def solution_energy(instance: Instance, o1: int, o2: Fraction,
 
 def mix_seed(seed: int, run: int) -> int:
     return seed * 1_000_003 + run
+
+
+class NoSolution(Exception):
+    """A run ended without placements; the message says why."""
+
+
+# stop(iters): whether a run that has made iters iterations must end now
+Stop = Callable[[int], bool]
+
+
+def _stop(config: SolverConfig, started: float, run: int) -> Stop:
+    if config.iterations is not None:
+        return lambda iters: iters >= config.iterations
+    deadline = started + (run + 1) * config.time_limit
+    return lambda iters: time.monotonic() >= deadline
+
+
+def run_backend(instance: Instance, config: SolverConfig, prepare: Callable[[], Any],
+                run: Callable[[Any, random.Random, Stop],
+                              tuple[PackingSolution, Optional[tuple[Fraction, ...]]]]
+                ) -> SolveResult:
+    """prepare() once, then run(prepared, rng, stop) -> (placements,
+    checkpoint energies or None) config.runs times. Run r draws from
+    mix_seed(seed, r); in time mode it stops by start + (r + 1) * time_limit,
+    start taken before prepare(). Placements pass the validator once, via
+    objectives(); a rejected run, or one raising NoSolution, is dropped."""
+    started = time.monotonic()
+    prepared = prepare()
+    best: Optional[PackingSolution] = None
+    best_energy: Optional[Fraction] = None
+    run_log: list[Fraction] = []
+    cp_runs: list[tuple[Fraction, ...]] = []
+    reason = None
+    for r in range(config.runs):
+        try:
+            sol, checkpoints = run(prepared, random.Random(mix_seed(config.seed, r)),
+                                   _stop(config, started, r))
+        except NoSolution as exc:
+            reason = str(exc)
+            continue
+        try:
+            o1, o2, o3 = objectives(instance, sol)
+        except ValueError as exc:
+            reason = f"run {r} rejected by the validator: {exc}"
+            continue
+        energy = solution_energy(instance, o1, o2, o3, config.weights)
+        run_log.append(energy)
+        if checkpoints is not None:
+            cp_runs.append(checkpoints)
+        if best_energy is None or energy < best_energy:
+            best = PackingSolution(sol.placements, o1=o1, o2=o2, o3=o3)
+            best_energy = energy
+    elapsed = 0.0 if config.iterations is not None else time.monotonic() - started
+    return SolveResult(best, best_energy, elapsed, tuple(run_log),
+                       infeasible_reason=reason if best is None else None,
+                       checkpoint_runs=tuple(cp_runs) if cp_runs else None)

@@ -3,15 +3,14 @@ local search over reinsert / swap / reorient / rebin moves.
 
 All constraints (boundaries, overlap, weight caps, affinities, relative-
 position preferences) are enforced during placement, so every emitted
-solution is feasible by construction; the independent validator still gets
-the final word when objectives are computed.
+solution is feasible by construction. Seeding, budget, validator pass and
+result come from the run driver, config.run_backend.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import time
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -26,8 +25,7 @@ from ..core import (
     relpos_masks,
     separation_mask,
 )
-from ..validate import objectives
-from .config import SolveResult, SolverConfig, mix_seed, solution_energy
+from .config import NoSolution, SolveResult, SolverConfig, Stop, run_backend
 
 RESTARTS = 8  # shuffled-order constructions tried after the first fails
 # relative weights of the (reinsert, swap, reorient, rebin) moves
@@ -43,7 +41,6 @@ class _Ctx:
     """
 
     def __init__(self, instance: Instance, weights) -> None:
-        self.inst = instance
         self.L, self.W, self.H = instance.bin.L, instance.bin.W, instance.bin.H
         self.n = instance.bin.n
         self.m = instance.m
@@ -296,9 +293,7 @@ class _Packing:
             j, k, x, y, z, _, _, _ = self.pos[item]
             placements.append(Placement(item=item, bin=slot[j] + 1, k=k,
                                         x=x + slot[j] * self.ctx.L, y=y, z=z))
-        sol = PackingSolution(tuple(placements))
-        o1, o2, o3 = objectives(self.ctx.inst, sol)
-        return PackingSolution(sol.placements, o1=o1, o2=o2, o3=o3)
+        return PackingSolution(tuple(placements))
 
 
 def _construct(ctx: _Ctx, order: Sequence[int]) -> tuple[Optional[_Packing], Optional[int]]:
@@ -445,7 +440,7 @@ def _move_reorient(pk: _Packing, rng: random.Random) -> bool:
     return False
 
 
-def _local_search(pk: _Packing, rng: random.Random, config: SolverConfig,
+def _local_search(pk: _Packing, rng: random.Random, stop: Stop,
                   checkpoints: Optional[Sequence[int]] = None
                   ) -> list[Fraction]:
     ctx = pk.ctx
@@ -457,17 +452,12 @@ def _local_search(pk: _Packing, rng: random.Random, config: SolverConfig,
     ]
     marks = sorted(checkpoints) if checkpoints else []
     cp_log: list[Fraction] = []
-    deadline = None if config.iterations is not None else time.monotonic() + config.time_limit
-    budget = config.iterations
     iters = 0
     while True:
         while marks and iters >= marks[0]:
             cp_log.append(pk.energy())
             marks.pop(0)
-        if budget is not None:
-            if iters >= budget:
-                break
-        elif time.monotonic() >= deadline:
+        if stop(iters):
             break
         r = rng.random() * sum(MOVE_WEIGHTS)
         acc = 0.0
@@ -509,18 +499,15 @@ def _order_blocks(ctx: _Ctx, instance: Instance) -> tuple[list[list[int]], list[
 
 def solve_heuristic(instance: Instance, config: SolverConfig,
                     checkpoints: Optional[Sequence[int]] = None) -> SolveResult:
-    """Run the constructive + local search pipeline config.runs times."""
-    started = time.monotonic()
-    ctx = _Ctx(instance, config.weights)
-    blocks, singles = _order_blocks(ctx, instance)
-    best_sol: Optional[PackingSolution] = None
-    best_energy: Optional[Fraction] = None
-    run_log: list[Fraction] = []
-    cp_runs: list[tuple[Fraction, ...]] = []
-    reason = None
-    for run in range(config.runs):
-        rng = random.Random(mix_seed(config.seed, run))
-        pk = None
+    """Construction (block order, then up to RESTARTS shuffled orders) plus
+    local search, config.runs times; checkpoints log energies at iterations."""
+
+    def prepare() -> tuple[_Ctx, list[list[int]], list[int]]:
+        ctx = _Ctx(instance, config.weights)
+        return (ctx, *_order_blocks(ctx, instance))
+
+    def run(prepared, rng: random.Random, stop: Stop):
+        ctx, blocks, singles = prepared
         for attempt in range(RESTARTS + 1):
             if attempt == 0:
                 order = [i for block in blocks for i in block] + singles
@@ -535,20 +522,9 @@ def solve_heuristic(instance: Instance, config: SolverConfig,
             pk, failed = _construct(ctx, order)
             if pk is not None:
                 break
-        if pk is None:
-            reason = f"item {failed} fits in no bin within n={ctx.n}"
-            continue
-        cp = _local_search(pk, rng, config, checkpoints)
-        if checkpoints:
-            cp_runs.append(tuple(cp))
-        sol = pk.to_solution()
-        energy = solution_energy(instance, sol.o1, sol.o2, sol.o3, config.weights)
-        run_log.append(energy)
-        if best_energy is None or energy < best_energy:
-            best_sol, best_energy = sol, energy
-    elapsed = 0.0 if config.iterations is not None else time.monotonic() - started
-    if best_sol is None:
-        return SolveResult(None, None, elapsed, tuple(run_log),
-                           infeasible_reason=reason or "no feasible construction")
-    return SolveResult(best_sol, best_energy, elapsed, tuple(run_log),
-                       checkpoint_runs=tuple(cp_runs) if checkpoints else None)
+        else:
+            raise NoSolution(f"item {failed} fits in no bin within n={ctx.n}")
+        cp = _local_search(pk, rng, stop, checkpoints)
+        return pk.to_solution(), tuple(cp) if checkpoints else None
+
+    return run_backend(instance, config, prepare, run)

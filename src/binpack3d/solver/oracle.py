@@ -11,9 +11,7 @@ lower bound; none of these can exclude a strictly better completion.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from ..core import (
     Instance,
@@ -25,31 +23,28 @@ from ..core import (
     relpos_masks,
     separation_mask,
 )
-from ..validate import check, objectives
+from ..validate import objectives
 from .config import SolveResult, solution_energy
+
+
+# the largest instance the exhaustive search accepts
+MAX_ITEMS = 4
+MAX_BIN_VOLUME = 64
+MAX_BINS = 2
 
 
 class OracleCapError(ValueError):
     """Instance exceeds the exhaustive-search caps."""
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_items: int = 4
-    max_bin_volume: int = 64
-    max_bins: int = 2
-
-
-def solve_oracle(instance: Instance, limits: Optional[OracleLimits] = None,
-                 weights=(1, 1, 1)) -> SolveResult:
-    limits = limits or OracleLimits()
-    if instance.m > limits.max_items:
-        raise OracleCapError(f"m={instance.m} exceeds oracle cap {limits.max_items}")
-    if instance.bin.volume > limits.max_bin_volume:
+def solve_oracle(instance: Instance, weights=(1, 1, 1)) -> SolveResult:
+    if instance.m > MAX_ITEMS:
+        raise OracleCapError(f"m={instance.m} exceeds oracle cap {MAX_ITEMS}")
+    if instance.bin.volume > MAX_BIN_VOLUME:
         raise OracleCapError(
-            f"bin volume {instance.bin.volume} exceeds oracle cap {limits.max_bin_volume}")
-    if instance.bin.n > limits.max_bins:
-        raise OracleCapError(f"n={instance.bin.n} exceeds oracle cap {limits.max_bins}")
+            f"bin volume {instance.bin.volume} exceeds oracle cap {MAX_BIN_VOLUME}")
+    if instance.bin.n > MAX_BINS:
+        raise OracleCapError(f"n={instance.bin.n} exceeds oracle cap {MAX_BINS}")
 
     started = time.monotonic()
     m = instance.m
@@ -94,10 +89,10 @@ def solve_oracle(instance: Instance, limits: Optional[OracleLimits] = None,
             Placement(item=i, bin=j, k=k, x=xyz[0] + (j - 1) * L, y=xyz[1], z=xyz[2])
             for (i, j, k, xyz, _) in sorted(placed)
         )
-        sol = PackingSolution(placements)
-        if not check(instance, sol).feasible:
+        try:
+            o1, o2, o3 = objectives(instance, PackingSolution(placements))
+        except ValueError:  # the validator rejects the layout
             return
-        o1, o2, o3 = objectives(instance, sol)
         key = (o1, o2, o3 if o3 is not None else Fraction(0))
         if best["key"] is None or key < best["key"]:
             best["key"] = key

@@ -89,6 +89,10 @@ class TestGenerate:
         (["--bin", "5", "5", "5", "--eta", "1/0"], "expected a rational, got '1/0'"),
         (["--bin", "0", "5", "5"], "bin dims must be >= 1"),
         (["--bin", "5", "5", "5", "--max-weight", "0"], "max_weight must be >= 1"),
+        (["--bin", "5", "5", "5", "--bins", "1", "--max-weight", "1"],
+         "total weight 3 exceeds M * n = 1"),
+        (["--bin", "100", "100", "100", "--max-weight", "2", "--seed", "1"],
+         "item 0 weighs 7, over the bin cap M=2"),
     ])
     def test_malformed_spec_exits_2(self, capsys, tmp_path, flags, message):
         code, _, err = run(capsys, "generate", "--items", "3", *flags,
@@ -147,12 +151,16 @@ class TestSolve:
         assert len(meta["run_log"]) == 3
 
     def test_solution_bytes_deterministic(self, capsys, tiny_instance, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        for out in (a, b):
-            code, _, _ = run(capsys, "solve", "--instance", str(tiny_instance),
-                             "--iterations", "25", "--seed", "9", "--out", str(out))
-            assert code == 0
-        assert a.read_bytes() == b.read_bytes()
+        """Every backend, the oracle included, pins elapsed_s in iteration mode."""
+        for backend, iterations in (("heuristic", "25"), ("annealer", "3000"),
+                                    ("oracle", "25")):
+            a, b = tmp_path / f"{backend}_a.json", tmp_path / f"{backend}_b.json"
+            for out in (a, b):
+                code, _, _ = run(capsys, "solve", "--instance", str(tiny_instance),
+                                 "--backend", backend, "--iterations", iterations,
+                                 "--seed", "9", "--out", str(out))
+                assert code == 0, backend
+            assert a.read_bytes() == b.read_bytes(), backend
 
     def test_infeasible_exits_3(self, capsys, tmp_path):
         from binpack3d.core import Affinities

@@ -116,6 +116,12 @@ class TestInstanceValidation:
     def test_rotated_fit_is_enough(self):
         Instance(items=(make_item(9, 1, 1),), bin=BinSpec(2, 9, 9, n=1))
 
+    def test_item_over_weight_cap(self):
+        item = make_item(1, 1, 1, mu=3)
+        with pytest.raises(ValueError, match="item 0 weighs 3, over the bin cap M=2"):
+            Instance(items=(item,), bin=BinSpec(2, 2, 2, max_weight=2, n=4))
+        Instance(items=(item,), bin=BinSpec(2, 2, 2, max_weight=3, n=1))
+
     def test_affinity_contradiction(self):
         with pytest.raises(ValueError, match="both positive and negative"):
             Affinities(positive=frozenset({(1, 2)}), negative=frozenset({(2, 1)}))

@@ -12,6 +12,7 @@ from helpers import REPO, subprocess_env
 @pytest.mark.parametrize("script,args", [
     ("run_archetypes.py", ["--iterations", "2", "--out-dir", "out"]),
     ("time_sweep.py", ["--unit", "2", "--runs", "1", "--out", "sweep.csv"]),
+    ("model_digest.py", ["--instances", "2", "--iterations", "10"]),
 ])
 def test_script_exits_0(tmp_path, script, args):
     proc = subprocess.run([sys.executable, str(REPO / "scripts" / script), *args],

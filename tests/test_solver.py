@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from binpack3d import (
     Instance,
     Item,
     OracleCapError,
-    OracleLimits,
     PackingSolution,
     Placement,
     SolverConfig,
@@ -26,10 +26,12 @@ from binpack3d import (
     solve_heuristic,
     solve_oracle,
 )
+from binpack3d import validate
 from binpack3d.fileio import save_solution
+from binpack3d.solver import annealer, heuristic
 from binpack3d.solver.heuristic import (CANDIDATE_CAP, _Bin, _Ctx, _Packing, _best_spot,
                                         _move_reinsert)
-from binpack3d.validate import check
+from binpack3d.validate import check, objectives
 
 from helpers import enumerate_feasible, oracle_instance, respects_relpos, solvable_instance
 
@@ -113,7 +115,7 @@ class TestHeuristic:
         pk.place(1, 2, 1, (1, 1, 1), 0, 1, 0)
         sol = pk.to_solution()
         assert [(p.bin, p.x, p.y) for p in sol.placements] == [(1, 1, 0), (2, 2, 1)]
-        assert check(inst, sol).feasible and sol.o1 == 2
+        assert check(inst, sol).feasible and objectives(inst, sol)[0] == 2
 
     def test_reinsert_that_empties_a_bin(self):
         """Moving a bin's only item into another bin lowers o1, so the move is
@@ -126,6 +128,72 @@ class TestHeuristic:
         _, tail = pk.score()
         assert _move_reinsert(pk, random.Random(0), CANDIDATE_CAP, False)
         assert pk.score() == (1, tail)
+
+
+class TestRunDriver:
+    """What run_backend adds around a backend's search: the time budget, the
+    single validator pass and the gate on rejected runs."""
+
+    @pytest.mark.parametrize("backend,module,setup,search", [
+        ("heuristic", heuristic, "_order_blocks", "_local_search"),
+        ("annealer", annealer, "build_model", "_anneal_run"),
+    ])
+    def test_time_mode_run_r_ends_by_its_share(self, monkeypatch, backend, module,
+                                               setup, search):
+        """runs=3, time_limit=0.2 and a set-up step slowed to 0.3 s: run r's
+        search ends once the clock passes start + (r + 1) * 0.2 s and at most
+        `slack` later, so the set-up eats run 0's share instead of extending
+        the solve, which ends within 3 * 0.2 s + slack."""
+        limit, delay = 0.2, 0.3
+        slack = 0.25  # one search iteration plus the validator pass, on a slow box
+        inst = solvable_instance(random.Random(7), m=6)
+        slow_setup, original = getattr(module, setup), getattr(module, search)
+        ends = []
+
+        def slowed(*args):
+            time.sleep(delay)
+            return slow_setup(*args)
+
+        def timed(*args):
+            out = original(*args)
+            ends.append(time.monotonic())
+            return out
+
+        monkeypatch.setattr(module, setup, slowed)
+        monkeypatch.setattr(module, search, timed)
+        t0 = time.monotonic()
+        result = solve(inst, SolverConfig(backend=backend, runs=3, time_limit=limit, seed=1))
+        total = time.monotonic() - t0
+        assert len(ends) == 3
+        for r, end in enumerate(ends):
+            due = t0 + max(delay, (r + 1) * limit)
+            assert due <= end <= due + slack, (r, end - t0)
+        assert total <= 3 * limit + slack
+        assert result.elapsed <= total
+        if backend == "heuristic":
+            assert len(result.run_log) == 3
+
+    @pytest.mark.parametrize("backend,iterations", [("heuristic", 20), ("annealer", 3000)])
+    def test_validator_runs_once_per_run(self, monkeypatch, backend, iterations):
+        calls = []
+        original = validate.check
+        monkeypatch.setattr(validate, "check", lambda *a: calls.append(1) or original(*a))
+        inst = Instance(items=cubes(2), bin=BinSpec(2, 2, 2, n=1))
+        result = solve(inst, SolverConfig(backend=backend, iterations=iterations,
+                                          seed=7, runs=3))
+        assert len(result.run_log) == 3
+        assert len(calls) == 3
+
+    def test_rejected_run_is_dropped_with_the_rule(self, monkeypatch):
+        """Placements the validator rejects (both items at the origin) never
+        reach the result; the reason names the violated rule."""
+        monkeypatch.setattr(_Packing, "to_solution", lambda pk: PackingSolution(tuple(
+            Placement(item=i, bin=1, k=1, x=0, y=0, z=0) for i in sorted(pk.pos))))
+        inst = Instance(items=cubes(2), bin=BinSpec(2, 2, 2, n=1))
+        result = solve_heuristic(inst, SolverConfig(iterations=5, seed=0, runs=2))
+        assert result.best is None and result.energy is None and result.run_log == ()
+        assert "rejected by the validator" in result.infeasible_reason
+        assert "Overlap" in result.infeasible_reason
 
 
 class TestCanPlace:
@@ -401,11 +469,6 @@ class TestOracle:
         with pytest.raises(OracleCapError, match="volume"):
             solve_oracle(big)
 
-    def test_custom_limits(self):
-        big = Instance(items=cubes(1), bin=BinSpec(5, 5, 5, n=1))
-        result = solve_oracle(big, limits=OracleLimits(max_bin_volume=125))
-        assert result.best is not None
-
     def test_load_bearing_never_heavy_above_light(self):
         items = (Item(0, 2, 2, 1, 2, 0), Item(1, 2, 2, 1, 6, 1))
         inst = Instance(items=items, bin=BinSpec(2, 2, 2, n=1), eta=Fraction(3, 2))
@@ -434,7 +497,6 @@ class TestOracle:
             inst = Instance(items=items, bin=BinSpec(3, 3, 3, n=1))
             best = solve_oracle(inst)
             all_feasible = enumerate_feasible(inst)
-            from binpack3d.validate import objectives
             keys = [objectives(inst, s)[:2] for s in all_feasible]
             assert (best.best.o1, best.best.o2) == min(keys)
 
