@@ -218,14 +218,16 @@ class Instance:
 def load_bearing_avoid(items: Iterable[Item], eta: Rational) -> set[tuple[int, int, int]]:
     """Avoid triples induced by the mass-ratio rule for a given eta."""
     eta = Fraction(eta)
+    # weights are positive, so mu_b / mu_a > p / q <=> mu_b q > p mu_a
+    p, q = eta.numerator, eta.denominator
     out: set[tuple[int, int, int]] = set()
     items = list(items)
     for i, a in enumerate(items):
         for k in range(i + 1, len(items)):
             b = items[k]
-            if Fraction(b.mu, a.mu) > eta:
+            if b.mu * q > p * a.mu:
                 out.add((a.index, b.index, 3))  # forbid i below k
-            if Fraction(a.mu, b.mu) > eta:
+            if a.mu * q > p * b.mu:
                 out.add((a.index, b.index, 6))  # forbid i above k
     return out
 

@@ -1,9 +1,10 @@
 """Benchmark instance generator.
 
 Items are drawn from a three-class size profile (small/medium/large side
-fractions of the bin dims), weights scale with volume plus uniform noise,
-and the optional features (weight cap, affinities, mass-ratio load bearing,
-center-of-mass target) are filled in deterministically from the seed.
+fractions of the bin dims), weights scale with volume plus uniform noise and
+are clamped to the weight cap, and the optional features (weight cap,
+affinities, mass-ratio load bearing, center-of-mass target) are filled in
+deterministically from the seed.
 
 archetypes() returns the twelve standard benchmark rows used across the
 experiment scripts; ARCHETYPE_MODEL_SIZES carries the reference
@@ -130,9 +131,7 @@ def generate(spec: GenSpec) -> Instance:
             rng, present, spec.negative_affinities, spec.positive_affinities)
 
     n = spec.bins_upper
-    if n is None:
-        n = default_bin_count(items, L, W, H, spec.max_weight)
-    elif spec.max_weight is not None:
+    if n is not None and spec.max_weight is not None:
         # an explicit bin bound must stay weight-feasible: rescale so the
         # total load fits n bins with 10% slack
         total = sum(it.mu for it in items)
@@ -146,6 +145,12 @@ def generate(spec: GenSpec) -> Instance:
             total = sum(it.mu for it in items)
             if total > spec.max_weight * n:
                 raise ValueError(f"total weight {total} exceeds M * n = {spec.max_weight * n}")
+    if spec.max_weight is not None and any(it.mu > spec.max_weight for it in items):
+        # weights scale with weight_scale, not with the cap: clamp them
+        # before the default bin count is derived
+        items = [dataclasses.replace(it, mu=min(it.mu, spec.max_weight)) for it in items]
+    if n is None:
+        n = default_bin_count(items, L, W, H, spec.max_weight)
 
     com = None
     if spec.com_target is not None:

@@ -19,8 +19,10 @@ from ..core import (
     Instance,
     PackingSolution,
     Placement,
+    RELPOS,
     allowed_orientations,
     effective_dims,
+    mirror_relpos,
     positive_groups,
     relpos_masks,
     separation_mask,
@@ -31,6 +33,9 @@ RESTARTS = 8  # shuffled-order constructions tried after the first fails
 # relative weights of the (reinsert, swap, reorient, rebin) moves
 MOVE_WEIGHTS = (0.35, 0.30, 0.20, 0.15)
 CANDIDATE_CAP = 48  # a reinsert tries at most this many corner points per bin
+# separation mask -> the mask of the swapped pair: bit q moves to mirror_relpos(q)
+_MIRROR = [sum(1 << mirror_relpos(q) for q in RELPOS if mask >> q & 1)
+           for mask in range(1 << (max(RELPOS) + 1))]
 
 
 class _Ctx:
@@ -58,7 +63,15 @@ class _Ctx:
         self.neg = instance.affinities.negative
         # categories joined by positive affinities must share one bin
         self.group = positive_groups(instance.affinities)
-        self.relpos, self.relpos_items = relpos_masks(instance)
+        # item -> {other: (allowed, required)} for separation_mask(item's box,
+        # other's box); the (i, k) table over i < k, mirrored for k's side
+        self.rules: dict[int, dict[int, tuple[int, int]]] = {}
+        mirrored: dict[tuple[int, int], tuple[int, int]] = {}  # one tuple per distinct rule
+        for (i, k), rule in relpos_masks(instance)[0].items():
+            self.rules.setdefault(i, {})[k] = rule
+            if rule not in mirrored:
+                mirrored[rule] = (_MIRROR[rule[0]], _MIRROR[rule[1]])
+            self.rules.setdefault(k, {})[i] = mirrored[rule]
         # tail = w2 (z + c) / (m H) + w3 (|cx - lt| / (m L) + |cy - wt| / (m W)),
         # where cx = (2x + a) / 2 and lt = px / (2 qx) with qx the denominator
         # of 2 lt, so |cx - lt| / (m L) = |(2x + a) qx - px| / (2 m L qx);
@@ -75,14 +88,28 @@ class _Ctx:
             self.com = (qx, int(2 * lt * qx), int(rate_x * self.D),
                         qy, int(2 * wt * qy), int(rate_y * self.D))
         self.cz = int(rate_z * self.D)
+        # with no negative rate a tail is at least cz (z + c)
+        self.tail_floor = w2 >= 0 and w3 >= 0
+        # item -> ((k, dims, *constants of item_tail), ...) in orients order
+        self.shapes = {i: tuple((k, dims, *self.tail_terms(dims)) for k, dims in ks)
+                       for i, ks in self.orients.items()}
+
+    def tail_terms(self, dims) -> tuple[int, int, int]:
+        """The orientation's constants (cz c, a qx - px, b qy - py) of
+        item_tail = cz z + cz c + cx |2 qx x + a qx - px| + cy |2 qy y + b qy - py|."""
+        a, b, c = dims
+        if self.com is None:
+            return (self.cz * c, 0, 0)
+        qx, px, _, qy, py, _ = self.com
+        return (self.cz * c, a * qx - px, b * qy - py)
 
     def item_tail(self, i: int, x: int, y: int, z: int, dims) -> int:
         """This item's share of the weighted (o2, o3) objective tail, times D."""
-        tail = self.cz * (z + dims[2])
+        zc, ax, by = self.tail_terms(dims)
+        tail = self.cz * z + zc
         if self.com is not None:
-            qx, px, cx, qy, py, cy = self.com
-            tail += (cx * abs((2 * x + dims[0]) * qx - px)
-                     + cy * abs((2 * y + dims[1]) * qy - py))
+            qx, _, cx, qy, _, cy = self.com
+            tail += cx * abs(2 * qx * x + ax) + cy * abs(2 * qy * y + by)
         return tail
 
 
@@ -91,7 +118,8 @@ class _Bin:
     and the far corners (x1, y, z), (x, y1, z), (x, y, z1) of every box, kept
     sorted by (z, y, x) as boxes are added and discarded."""
 
-    __slots__ = ("boxes", "load", "volume", "cats", "keys", "points", "refs", "cover")
+    __slots__ = ("boxes", "load", "volume", "cats", "keys", "points", "refs", "cover",
+                 "blocker")
 
     def __init__(self) -> None:
         self.boxes: list[tuple] = []  # (item, k, x, y, z, x + a, y + b, z + c) bin-local
@@ -101,22 +129,38 @@ class _Bin:
         self.keys: list[tuple[int, int, int]] = [(0, 0, 0)]  # corner points as (z, y, x), sorted
         self.points: list[tuple[int, int, int]] = [(0, 0, 0)]  # the same points as (x, y, z)
         self.refs = {(0, 0, 0): 1}  # point -> boxes cornered there; the origin is pinned
-        self.cover = {(0, 0, 0): 0}  # point -> boxes whose half-open extent holds it
+        # point -> boxes whose half-open extent holds it, or None until asked
+        self.cover: dict[tuple[int, int, int], Optional[int]] = {(0, 0, 0): 0}
+        self.blocker: Optional[tuple] = None  # the box that last made fits reject
+
+    def copy(self) -> _Bin:
+        bn = _Bin()
+        bn.boxes, bn.keys, bn.points = list(self.boxes), list(self.keys), list(self.points)
+        bn.cats, bn.refs, bn.cover = dict(self.cats), dict(self.refs), dict(self.cover)
+        bn.load, bn.volume, bn.blocker = self.load, self.volume, self.blocker
+        return bn
 
     def occupied(self, x: int, y: int, z: int) -> bool:
         """Whether the corner point lies in a box's half-open extent, so that
-        every box cornered there overlaps it."""
-        return self.cover[(x, y, z)] > 0
+        every box cornered there overlaps it. Counted the first time asked."""
+        count = self.cover[(x, y, z)]
+        if count is None:
+            count = 0
+            for (_, _, ox, oy, oz, ox1, oy1, oz1) in self.boxes:
+                if ox <= x < ox1 and oy <= y < oy1 and oz <= z < oz1:
+                    count += 1
+            self.cover[(x, y, z)] = count
+        return count > 0
 
     def _recount(self, box: tuple, delta: int) -> None:
-        """Add delta to the cover of each point inside box. Only points with
-        z in [z, z1) can be, and keys sorted by z first hold them in one slice."""
+        """Add delta to the counted cover of each point inside box. Only points
+        with z in [z, z1) can be, and keys sorted by z first hold them in one slice."""
         _, _, x, y, z, x1, y1, z1 = box
         lo = bisect_left(self.keys, (z,))
         hi = bisect_left(self.keys, (z1,), lo)
         cover = self.cover
         for p in self.points[lo:hi]:
-            if x <= p[0] < x1 and y <= p[1] < y1:
+            if x <= p[0] < x1 and y <= p[1] < y1 and cover[p] is not None:
                 cover[p] += delta
 
     def add(self, box: tuple) -> None:
@@ -128,18 +172,15 @@ class _Bin:
                 self.refs[p] += 1
                 continue
             self.refs[p] = 1
-            px, py, pz = p
-            count = 0
-            for (_, _, ox, oy, oz, ox1, oy1, oz1) in self.boxes:
-                if ox <= px < ox1 and oy <= py < oy1 and oz <= pz < oz1:
-                    count += 1
-            self.cover[p] = count
-            i = bisect_left(self.keys, (pz, py, px))
-            self.keys.insert(i, (pz, py, px))
+            self.cover[p] = None
+            i = bisect_left(self.keys, (p[2], p[1], p[0]))
+            self.keys.insert(i, (p[2], p[1], p[0]))
             self.points.insert(i, p)
 
     def discard(self, box: tuple) -> None:
         self.boxes.remove(box)
+        if box == self.blocker:
+            self.blocker = None
         _, _, x, y, z, x1, y1, z1 = box
         for p in ((x1, y, z), (x, y1, z), (x, y, z1)):
             self.refs[p] -= 1
@@ -158,6 +199,15 @@ class _Packing:
         self.pos: dict[int, tuple] = {}  # item -> (bin_idx, k, x, y, z, a, b, c)
         self.group_bin: dict[int, dict[int, int]] = {}  # group -> {bin_idx: count}
         self.tail = 0  # sum of item tails, times ctx.D
+
+    def copy(self) -> _Packing:
+        """An independent packing in the same state, sharing only ctx."""
+        pk = _Packing(self.ctx)
+        pk.bins = [bn.copy() for bn in self.bins]
+        pk.pos = dict(self.pos)
+        pk.group_bin = {g: dict(locs) for g, locs in self.group_bin.items()}
+        pk.tail = self.tail
+        return pk
 
     @property
     def o1(self) -> int:
@@ -200,23 +250,27 @@ class _Packing:
 
     def fits(self, item: int, j: int, dims, x: int, y: int, z: int) -> bool:
         """The position checks of an in-bounds box in bin j: no overlap and
-        the avoid/favour triples."""
-        ctx = self.ctx
+        the avoid/favour triples. The bin's blocker is tested first."""
         bn = self.bins[j]
         # no overlap <=> some relative position holds (separation mask != 0),
         # so only pairs with avoid/favour triples need the mask itself
         x1, y1, z1 = x + dims[0], y + dims[1], z + dims[2]
-        for (_, _, ox, oy, oz, ox1, oy1, oz1) in bn.boxes:
+        b = bn.blocker
+        if (b is not None and x < b[5] and b[2] < x1 and y < b[6] and b[3] < y1
+                and z < b[7] and b[4] < z1):
+            return False
+        for (o, k, ox, oy, oz, ox1, oy1, oz1) in bn.boxes:
             if x < ox1 and ox < x1 and y < oy1 and oy < y1 and z < oz1 and oz < z1:
+                bn.blocker = (o, k, ox, oy, oz, ox1, oy1, oz1)
                 return False
-        if item in ctx.relpos_items:
-            own = ((x, y, z), dims)
+        rules = self.ctx.rules.get(item)
+        if rules:
             for (o, _, ox, oy, oz, ox1, oy1, oz1) in bn.boxes:
-                rule = ctx.relpos.get((item, o) if item < o else (o, item))
+                rule = rules.get(o)
                 if rule is None:
                     continue
-                other = ((ox, oy, oz), (ox1 - ox, oy1 - oy, oz1 - oz))
-                mask = separation_mask(*own, *other) if item < o else separation_mask(*other, *own)
+                mask = separation_mask((x, y, z), dims, (ox, oy, oz),
+                                       (ox1 - ox, oy1 - oy, oz1 - oz))
                 allowed, required = rule
                 if not mask & allowed or mask & required != required:
                     return False
@@ -342,9 +396,19 @@ def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
     in (bin, candidate, orientation) order; None when there is none or, given
     a bound, when its tail is not under the bound. Every in-bounds spot on a
     free point is scored, spots at or over the bound are dropped, and the
-    position checks run cheapest first until one passes."""
+    position checks run cheapest first until one passes. Under a bound and
+    with no negative tail rate, a bin's scan ends at the first point too high
+    for any spot there or later to score under it."""
     ctx = pk.ctx
     L, W, H = ctx.L, ctx.W, ctx.H
+    cz, com = ctx.cz, ctx.com
+    if com is not None:
+        qx, _, cx, qy, _, cy = com
+    shapes = ctx.shapes[item]
+    # candidates run in (z, y, x) order and then a tail is at least
+    # cz (z + c), so the cut is the first point with cz (z + min c) >= bound
+    cut = bound is not None and ctx.tail_floor
+    min_c = min(dims[2] for _, dims, *_ in shapes)
     locked = pk.locked_bin(item)
     spots = []  # (tail, enumeration index, j, k, dims, x, y, z)
     for j in bins:
@@ -360,11 +424,19 @@ def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
             continue
         bn = pk.bins[j]
         for (x, y, z) in cands:
+            if cut and cz * (z + min_c) >= bound:
+                break
             if bn.occupied(x, y, z):
                 continue
-            for k, dims in ctx.orients[item]:
+            # item_tail from the same per-orientation constants
+            base = cz * z
+            if com is not None:
+                x2, y2 = 2 * qx * x, 2 * qy * y
+            for k, dims, zc, ax, by in shapes:
                 if x + dims[0] <= L and y + dims[1] <= W and z + dims[2] <= H:
-                    tail = ctx.item_tail(item, x, y, z, dims)
+                    tail = base + zc
+                    if com is not None:
+                        tail += cx * abs(x2 + ax) + cy * abs(y2 + by)
                     if bound is None or tail < bound:
                         spots.append((tail, len(spots), j, k, dims, x, y, z))
     spots.sort()
@@ -499,31 +571,35 @@ def _order_blocks(ctx: _Ctx, instance: Instance) -> tuple[list[list[int]], list[
 
 def solve_heuristic(instance: Instance, config: SolverConfig,
                     checkpoints: Optional[Sequence[int]] = None) -> SolveResult:
-    """Construction (block order, then up to RESTARTS shuffled orders) plus
-    local search, config.runs times; checkpoints log energies at iterations."""
+    """Construction (block order, built once per solve and copied into each
+    run, then up to RESTARTS shuffled orders) plus local search, config.runs
+    times; checkpoints log energies at iterations."""
 
-    def prepare() -> tuple[_Ctx, list[list[int]], list[int]]:
+    def prepare() -> tuple[_Ctx, list[list[int]], list[int], Optional[_Packing]]:
         ctx = _Ctx(instance, config.weights)
-        return (ctx, *_order_blocks(ctx, instance))
+        blocks, singles = _order_blocks(ctx, instance)
+        # attempt 0 draws nothing from the run's rng, so every run builds
+        # the same packing: build it once and give each run a copy
+        first, _ = _construct(ctx, [i for block in blocks for i in block] + singles)
+        return ctx, blocks, singles, first
 
     def run(prepared, rng: random.Random, stop: Stop):
-        ctx, blocks, singles = prepared
-        for attempt in range(RESTARTS + 1):
-            if attempt == 0:
-                order = [i for block in blocks for i in block] + singles
-            else:
+        ctx, blocks, singles, first = prepared
+        if first is not None:
+            pk = first.copy()
+        else:
+            for _ in range(RESTARTS):
                 shuffled = [list(b) for b in blocks]
                 for b in shuffled:
                     rng.shuffle(b)
                 rng.shuffle(shuffled)
                 loose = list(singles)
                 rng.shuffle(loose)
-                order = [i for block in shuffled for i in block] + loose
-            pk, failed = _construct(ctx, order)
-            if pk is not None:
-                break
-        else:
-            raise NoSolution(f"item {failed} fits in no bin within n={ctx.n}")
+                pk, failed = _construct(ctx, [i for block in shuffled for i in block] + loose)
+                if pk is not None:
+                    break
+            else:
+                raise NoSolution(f"item {failed} fits in no bin within n={ctx.n}")
         cp = _local_search(pk, rng, stop, checkpoints)
         return pk.to_solution(), tuple(cp) if checkpoints else None
 

@@ -91,14 +91,24 @@ class TestGenerate:
         (["--bin", "5", "5", "5", "--max-weight", "0"], "max_weight must be >= 1"),
         (["--bin", "5", "5", "5", "--bins", "1", "--max-weight", "1"],
          "total weight 3 exceeds M * n = 1"),
-        (["--bin", "100", "100", "100", "--max-weight", "2", "--seed", "1"],
-         "item 0 weighs 7, over the bin cap M=2"),
     ])
     def test_malformed_spec_exits_2(self, capsys, tmp_path, flags, message):
         code, _, err = run(capsys, "generate", "--items", "3", *flags,
                            "--out", str(tmp_path / "x.json"))
         assert code == 2
         assert message in err
+
+    def test_small_weight_cap_clamps_weights(self, capsys, tmp_path):
+        """Weights drawn over a small cap (7, 4 and 26 here) are clamped to
+        it, and the instance solves."""
+        out = tmp_path / "capped.json"
+        code, _, _ = run(capsys, "generate", "--items", "3", "--bin", "100", "100", "100",
+                         "--max-weight", "2", "--seed", "1", "--out", str(out))
+        assert code == 0
+        assert all(it.mu <= 2 for it in load_instance(out).items)
+        code, _, _ = run(capsys, "solve", "--instance", str(out), "--iterations", "5",
+                         "--out", str(tmp_path / "capped.sol.json"))
+        assert code == 0
 
     def test_custom_spec(self, capsys, tmp_path):
         out = tmp_path / "c.json"

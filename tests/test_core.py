@@ -161,6 +161,21 @@ class TestInstanceValidation:
         got = load_bearing_avoid(items, 2)
         assert got == {(0, 1, 6)}  # item 0 is the heavy one here
 
+    @given(st.lists(st.integers(1, 30), min_size=2, max_size=6),
+           st.fractions(min_value=Fraction(8, 7), max_value=5, max_denominator=7))
+    def test_load_bearing_avoid_matches_ratio_rule(self, weights, eta):
+        """A triple exactly where one weight exceeds eta times the other."""
+        items = tuple(make_item(1, 1, 1, mu=mu, index=i) for i, mu in enumerate(weights))
+        want = set()
+        for i, a in enumerate(weights):
+            for k in range(i + 1, len(weights)):
+                b = weights[k]
+                if Fraction(b, a) > eta:
+                    want.add((i, k, 3))
+                if Fraction(a, b) > eta:
+                    want.add((i, k, 6))
+        assert load_bearing_avoid(items, eta) == want
+
 
 class TestDefaultBinCount:
     def test_volume_bound(self):

@@ -30,7 +30,8 @@ from binpack3d import validate
 from binpack3d.fileio import save_solution
 from binpack3d.solver import annealer, heuristic
 from binpack3d.solver.heuristic import (CANDIDATE_CAP, _Bin, _Ctx, _Packing, _best_spot,
-                                        _move_reinsert)
+                                        _construct, _local_search, _move_reinsert,
+                                        _order_blocks)
 from binpack3d.validate import check, objectives
 
 from helpers import enumerate_feasible, oracle_instance, respects_relpos, solvable_instance
@@ -278,47 +279,143 @@ def reference_best_spot(pk, item, bins, rng, cap):
     return best
 
 
+def reference_fits(inst, bn, item, dims, corner):
+    """fits from the triples themselves: no box of the bin overlaps the new
+    one, and each pair with avoid/favour triples takes an allowed position."""
+    for (o, _, ox, oy, oz, ox1, oy1, oz1) in bn.boxes:
+        own, other = (corner, dims), ((ox, oy, oz), (ox1 - ox, oy1 - oy, oz1 - oz))
+        (p0, d0), (p1, d1) = (own, other) if item < o else (other, own)
+        holds = (p0[0] + d0[0] <= p1[0], p0[1] + d0[1] <= p1[1], p0[2] + d0[2] <= p1[2],
+                 p1[0] + d1[0] <= p0[0], p1[1] + d1[1] <= p0[1], p1[2] + d1[2] <= p0[2])
+        valid = {q for q, h in zip(range(1, 7), holds) if h}
+        if not valid:
+            return False
+        pair = (min(item, o), max(item, o))
+        avoided = {q for i, k, q in inst.relpos_avoid if (i, k) == pair}
+        favoured = {q for i, k, q in inst.relpos_favour if (i, k) == pair}
+        if valid <= avoided or not favoured <= valid:
+            return False
+    return True
+
+
+def corner_steps(draw, relpos=False):
+    """Random place, remove and remove-then-restore steps on a few bins, with
+    boxes on corner points or anywhere in bounds; overlaps are allowed, so a
+    point can lie in several boxes. Yields (packing, instance, spot drawer)
+    after every step; relpos adds avoid/favour triples."""
+    L, W, H = (draw(st.integers(2, 6)) for _ in range(3))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 12))
+    items = tuple(Item(index=i, l=draw(st.integers(1, L)), w=draw(st.integers(1, W)),
+                       h=draw(st.integers(1, H)), mu=1, category=0) for i in range(m))
+    triples = []
+    if relpos and m >= 2:
+        pairs = [(i, k) for i in range(m) for k in range(i + 1, m)]
+        triples = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 6),
+                                          st.booleans()), max_size=12, unique_by=lambda t: t[0]))
+    inst = Instance(items=items, bin=BinSpec(L, W, H, n=n),
+                    relpos_avoid=frozenset((*pair, q) for pair, q, avoid in triples if avoid),
+                    relpos_favour=frozenset((*pair, q) for pair, q, avoid in triples
+                                            if not avoid))
+    ctx = _Ctx(inst, (1, 1, 1))
+    pk = _Packing(ctx)
+    pk.bins.extend(_Bin() for _ in range(n))
+    bounds = (L, W, H)
+
+    def spot(item, j):
+        """(k, dims, corner) of an in-bounds box, on a corner point or anywhere."""
+        k, dims = draw(st.sampled_from([(k, d) for k, d in ctx.orients[item]
+                                        if all(x <= b for x, b in zip(d, bounds))]))
+        corners = [p for p in pk.candidates(j)
+                   if all(c + d <= b for c, d, b in zip(p, dims, bounds))]
+        if corners and draw(st.booleans()):
+            return k, dims, draw(st.sampled_from(corners))
+        return k, dims, tuple(draw(st.integers(0, b - d)) for b, d in zip(bounds, dims))
+
+    for _ in range(draw(st.integers(1, 40))):
+        item = draw(st.integers(0, m - 1))
+        if item in pk.pos:
+            saved = pk.remove(item)
+            if draw(st.booleans()):
+                pk.restore(item, saved)
+        else:
+            j = draw(st.integers(0, n - 1))
+            k, dims, (x, y, z) = spot(item, j)
+            pk.place(item, j, k, dims, x, y, z)
+        yield pk, inst, spot
+
+
 class TestCornerIndex:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_rebuild(self, data):
-        """Random place, remove and remove-then-restore steps on a few bins,
-        with boxes on corner points or anywhere in bounds. Overlaps are
-        allowed, so a point can lie in several boxes. After every step each
-        bin's corner points and their occupancy equal the rebuild from its
-        boxes."""
-        draw = data.draw
-        L, W, H = (draw(st.integers(2, 6)) for _ in range(3))
-        n = draw(st.integers(1, 3))
-        m = draw(st.integers(1, 12))
-        items = tuple(Item(index=i, l=draw(st.integers(1, L)), w=draw(st.integers(1, W)),
-                           h=draw(st.integers(1, H)), mu=1, category=0) for i in range(m))
-        ctx = _Ctx(Instance(items=items, bin=BinSpec(L, W, H, n=n)), (1, 1, 1))
-        pk = _Packing(ctx)
-        pk.bins.extend(_Bin() for _ in range(n))
-        bounds = (L, W, H)
-        for _ in range(draw(st.integers(1, 40))):
-            item = draw(st.integers(0, m - 1))
-            if item in pk.pos:
-                saved = pk.remove(item)
-                if draw(st.booleans()):
-                    pk.restore(item, saved)
-            else:
-                j = draw(st.integers(0, n - 1))
-                k, dims = draw(st.sampled_from([(k, d) for k, d in ctx.orients[item]
-                                                if all(x <= b for x, b in zip(d, bounds))]))
-                corners = [p for p in pk.candidates(j)
-                           if all(c + d <= b for c, d, b in zip(p, dims, bounds))]
-                if corners and draw(st.booleans()):
-                    x, y, z = draw(st.sampled_from(corners))
-                else:
-                    x, y, z = (draw(st.integers(0, b - d)) for b, d in zip(bounds, dims))
-                pk.place(item, j, k, dims, x, y, z)
+        """After every corner_steps step each bin's corner points and their
+        occupancy equal the rebuild from its boxes."""
+        for pk, _, _ in corner_steps(data.draw):
             for j, bn in enumerate(pk.bins):
                 cands = pk.candidates(j)
                 assert cands == reference_candidates(bn)
                 assert [bn.occupied(*p) for p in cands] == \
                     [reference_occupied(bn, *p) for p in cands]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_lazy_counts_read_late(self, data):
+        """occupied is asked about a drawn subset of the points per step, so
+        a point's cover is first counted several steps after it appeared,
+        and later steps adjust only counted points."""
+        for pk, _, _ in corner_steps(data.draw):
+            for j, bn in enumerate(pk.bins):
+                cands = pk.candidates(j)
+                assert cands == reference_candidates(bn)
+                for p in data.draw(st.lists(st.sampled_from(cands), max_size=3)):
+                    assert bn.occupied(*p) == reference_occupied(bn, *p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_blocker_never_stale(self, data):
+        """fits between corner_steps steps, on random spots with avoid/favour
+        triples: it agrees with a scan of overlap and relative position, and
+        each bin's blocker is None or one of its boxes, also after the box
+        that set it has been removed."""
+        draw = data.draw
+        for pk, inst, spot in corner_steps(draw, relpos=True):
+            for _ in range(draw(st.integers(0, 4))):
+                item = draw(st.integers(0, inst.m - 1))
+                j = draw(st.integers(0, len(pk.bins) - 1))
+                _, dims, corner = spot(item, j)
+                assert pk.fits(item, j, dims, *corner) == \
+                    reference_fits(inst, pk.bins[j], item, dims, corner)
+            for bn in pk.bins:
+                assert bn.blocker is None or bn.blocker in bn.boxes
+
+
+class TestPackingCopy:
+    def test_moves_on_a_copy_leave_the_original(self):
+        """Local search on a copy of a constructed packing changes the copy
+        and leaves every part of the original as it was."""
+        inst = archetype(11, seed=3)
+        ctx = _Ctx(inst, (1, 1, 1))
+        blocks, singles = _order_blocks(ctx, inst)
+        pk, _ = _construct(ctx, [i for block in blocks for i in block] + singles)
+
+        def state(p):
+            return ([(list(bn.boxes), list(bn.points), dict(bn.cover), dict(bn.refs),
+                      dict(bn.cats), bn.load, bn.volume) for bn in p.bins],
+                    dict(p.pos), {g: dict(locs) for g, locs in p.group_bin.items()}, p.tail)
+
+        assert pk.group_bin
+        for bn in pk.bins:  # count a few covers, so the copy starts with some
+            for p in bn.points[::3]:
+                bn.occupied(*p)
+        before = state(pk)
+        twin = pk.copy()
+        assert state(twin) == before
+        _local_search(twin, random.Random(5), lambda iters: iters >= 300)
+        for item in list(twin.pos)[:5]:
+            twin.remove(item)
+        assert state(twin) != before
+        assert state(pk) == before
 
 
 class TestBestSpot:
@@ -326,9 +423,9 @@ class TestBestSpot:
     @given(st.data())
     def test_matches_exhaustive_scan(self, data):
         """On random partial packings with weight caps, negative and positive
-        affinities and avoid/favour triples, _best_spot returns the reference
-        scan's spot, or None when a drawn bound is not above its tail, and
-        draws the same random numbers."""
+        affinities, avoid/favour triples and tail weights of either sign,
+        _best_spot returns the reference scan's spot, or None when a drawn
+        bound is not above its tail, and draws the same random numbers."""
         draw = data.draw
         L, W, H = (draw(st.integers(3, 7)) for _ in range(3))
         n = draw(st.integers(1, 3))
@@ -357,7 +454,10 @@ class TestBestSpot:
             relpos_avoid=frozenset((*pair, q) for pair, q, avoid in relpos if avoid),
             relpos_favour=frozenset((*pair, q) for pair, q, avoid in relpos if not avoid),
         )
-        ctx = _Ctx(inst, (1, 1, 1))
+        # zero, positive and negative tail rates: under a negative one the
+        # z-ordered cut of _best_spot has no lower bound and must not apply
+        rate = st.sampled_from((0, Fraction(2, 3), 1, -1, Fraction(-5, 3)))
+        ctx = _Ctx(inst, (1, draw(rate), draw(rate)))
         pk = _Packing(ctx)
         pk.bins.extend(_Bin() for _ in range(n))
         rnd = random.Random(draw(st.integers(0, 2 ** 32)))
