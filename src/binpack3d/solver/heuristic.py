@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, insort
+from operator import itemgetter
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -36,6 +37,7 @@ CANDIDATE_CAP = 48  # a reinsert tries at most this many corner points per bin
 # separation mask -> the mask of the swapped pair: bit q moves to mirror_relpos(q)
 _MIRROR = [sum(1 << mirror_relpos(q) for q in RELPOS if mask >> q & 1)
            for mask in range(1 << (max(RELPOS) + 1))]
+_BOX_Z = itemgetter(4)  # a box's z
 
 
 class _Ctx:
@@ -122,7 +124,8 @@ class _Bin:
                  "blocker")
 
     def __init__(self) -> None:
-        self.boxes: list[tuple] = []  # (item, k, x, y, z, x + a, y + b, z + c) bin-local
+        # (item, k, x, y, z, x + a, y + b, z + c) bin-local, sorted by z
+        self.boxes: list[tuple] = []
         self.load = 0
         self.volume = 0  # sum of the boxes' volumes
         self.cats: dict[int, int] = {}
@@ -146,8 +149,10 @@ class _Bin:
         count = self.cover[(x, y, z)]
         if count is None:
             count = 0
-            for (_, _, ox, oy, oz, ox1, oy1, oz1) in self.boxes:
-                if ox <= x < ox1 and oy <= y < oy1 and oz <= z < oz1:
+            # boxes sorted by z: only the slice with oz <= z can hold the point
+            for (_, _, ox, oy, oz, ox1, oy1, oz1) in self.boxes[
+                    :bisect_left(self.boxes, z + 1, key=_BOX_Z)]:
+                if z < oz1 and ox <= x < ox1 and oy <= y < oy1:
                     count += 1
             self.cover[(x, y, z)] = count
         return count > 0
@@ -165,7 +170,7 @@ class _Bin:
 
     def add(self, box: tuple) -> None:
         self._recount(box, 1)
-        self.boxes.append(box)
+        insort(self.boxes, box, key=_BOX_Z)
         _, _, x, y, z, x1, y1, z1 = box
         for p in ((x1, y, z), (x, y1, z), (x, y, z1)):
             if p in self.refs:
@@ -286,10 +291,14 @@ class _Packing:
                       ) -> Optional[tuple[int, int, tuple]]:
         """(tail, k, dims) of the first orientation of least item tail that
         can_place admits at the fixed spot (x, y, z) of bin j, or None."""
+        if not self.admits(item, j):
+            return None
+        ctx = self.ctx
         best = None
-        for k, dims in self.ctx.orients[item]:
-            if self.can_place(item, j, dims, x, y, z):
-                tail = self.ctx.item_tail(item, x, y, z, dims)
+        for k, dims in ctx.orients[item]:
+            if (x + dims[0] <= ctx.L and y + dims[1] <= ctx.W and z + dims[2] <= ctx.H
+                    and self.fits(item, j, dims, x, y, z)):
+                tail = ctx.item_tail(item, x, y, z, dims)
                 if best is None or tail < best[0]:
                     best = (tail, k, dims)
         return best
@@ -360,9 +369,12 @@ def _construct(ctx: _Ctx, order: Sequence[int]) -> tuple[Optional[_Packing], Opt
             if not pk.admits(item, j):
                 continue
             bn = pk.bins[j]
+            cover = bn.cover
             # the list is live: stop iterating it once the item is placed
-            for (x, y, z) in pk.candidates(j):
-                if bn.occupied(x, y, z):
+            for p in pk.candidates(j):
+                x, y, z = p
+                count = cover[p]
+                if count or (count is None and bn.occupied(x, y, z)):
                     continue
                 for k, dims in ctx.orients[item]:
                     if (x + dims[0] <= ctx.L and y + dims[1] <= ctx.W and z + dims[2] <= ctx.H
@@ -423,10 +435,13 @@ def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
         if not pk.admits(item, j):
             continue
         bn = pk.bins[j]
-        for (x, y, z) in cands:
+        cover = bn.cover
+        for p in cands:
+            x, y, z = p
             if cut and cz * (z + min_c) >= bound:
                 break
-            if bn.occupied(x, y, z):
+            count = cover[p]
+            if count or (count is None and bn.occupied(x, y, z)):
                 continue
             # item_tail from the same per-orientation constants
             base = cz * z

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import os
 import random
+import threading
 import time
 from fractions import Fraction
 
@@ -28,7 +30,8 @@ from binpack3d import (
 )
 from binpack3d import validate
 from binpack3d.fileio import save_solution
-from binpack3d.solver import annealer, heuristic
+from binpack3d.solver import annealer, config, heuristic
+from binpack3d.solver.config import NoSolution
 from binpack3d.solver.heuristic import (CANDIDATE_CAP, _Bin, _Ctx, _Packing, _best_spot,
                                         _construct, _local_search, _move_reinsert,
                                         _order_blocks)
@@ -41,6 +44,12 @@ def cubes(count, side=1, mu=1, categories=None):
     return tuple(Item(index=i, l=side, w=side, h=side, mu=mu,
                       category=(categories[i] if categories else 0))
                  for i in range(count))
+
+
+def pin_cpus(monkeypatch, cpus):
+    """Make run_backend see this many usable CPUs, so a solve of runs >= cpus
+    spreads its runs over that many slots."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 class TestHeuristic:
@@ -141,10 +150,11 @@ class TestRunDriver:
     ])
     def test_time_mode_run_r_ends_by_its_share(self, monkeypatch, backend, module,
                                                setup, search):
-        """runs=3, time_limit=0.2 and a set-up step slowed to 0.3 s: run r's
-        search ends once the clock passes start + (r + 1) * 0.2 s and at most
-        `slack` later, so the set-up eats run 0's share instead of extending
-        the solve, which ends within 3 * 0.2 s + slack."""
+        """One slot, runs=3, time_limit=0.2 and a set-up step slowed to 0.3 s:
+        run r's search ends once the clock passes start + (r + 1) * 0.2 s and
+        at most `slack` later, so the set-up eats run 0's share instead of
+        extending the solve, which ends within 3 * 0.2 s + slack."""
+        pin_cpus(monkeypatch, 1)
         limit, delay = 0.2, 0.3
         slack = 0.25  # one search iteration plus the validator pass, on a slow box
         inst = solvable_instance(random.Random(7), m=6)
@@ -174,6 +184,22 @@ class TestRunDriver:
         if backend == "heuristic":
             assert len(result.run_log) == 3
 
+    @pytest.mark.parametrize("backend", ["heuristic", "annealer"])
+    def test_time_mode_two_slots_share_each_round(self, monkeypatch, backend):
+        """Two slots, runs=3, time_limit=0.5: runs 0 and 1 end by start + 0.5 s
+        and run 2 by start + 1.0 s, so the solve ends within
+        ceil(3 / 2) * 0.5 s + slack, where one slot takes 1.5 s."""
+        pin_cpus(monkeypatch, 2)
+        limit, slack = 0.5, 0.25
+        inst = solvable_instance(random.Random(7), m=6)
+        t0 = time.monotonic()
+        result = solve(inst, SolverConfig(backend=backend, runs=3, time_limit=limit, seed=1))
+        total = time.monotonic() - t0
+        assert 2 * limit <= total <= 2 * limit + slack
+        assert result.elapsed <= total
+        if backend == "heuristic":
+            assert len(result.run_log) == 3
+
     @pytest.mark.parametrize("backend,iterations", [("heuristic", 20), ("annealer", 3000)])
     def test_validator_runs_once_per_run(self, monkeypatch, backend, iterations):
         calls = []
@@ -195,6 +221,164 @@ class TestRunDriver:
         assert result.best is None and result.energy is None and result.run_log == ()
         assert "rejected by the validator" in result.infeasible_reason
         assert "Overlap" in result.infeasible_reason
+
+
+class RunFailed(Exception):
+    """Raised by a patched run in a worker process."""
+
+
+class NeedsTwoArgs(Exception):
+    """An exception that pickles but cannot be rebuilt from its args."""
+
+    def __init__(self, message, detail):
+        super().__init__(message)
+        self.detail = detail
+
+
+class TestFanOut:
+    """run_backend spreads a solve's runs over forked worker processes: the
+    result may not depend on how many, and no worker outlives the solve."""
+
+    def test_slots(self, monkeypatch):
+        pin_cpus(monkeypatch, 2)
+        assert [config._slots(runs) for runs in (1, 2, 3)] == [1, 2, 2]
+        pin_cpus(monkeypatch, 8)
+        assert config._slots(3) == 3
+        # forking a process with a second thread is unsafe: one slot
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert config._slots(3) == 1
+        finally:
+            release.set()
+            thread.join()
+
+    @pytest.mark.parametrize("backend", ["heuristic", "annealer"])
+    def test_same_result_at_one_and_two_slots(self, monkeypatch, tmp_path, backend):
+        """runs=3 in iteration mode: the SolveResult, checkpoints included,
+        and the solution bytes are the same whether one process makes every
+        run or two share them."""
+        if backend == "heuristic":
+            inst, seed, iterations = archetype(4, seed=3), 3, 40
+        else:
+            inst, seed, iterations = Instance(items=cubes(3), bin=BinSpec(2, 2, 1, n=2)), 2, 3000
+        cfg = SolverConfig(backend=backend, iterations=iterations, seed=seed, runs=3)
+        seen = []
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            if backend == "heuristic":
+                result = solve_heuristic(inst, cfg, checkpoints=[0, 10, 40])
+            else:
+                result = solve_annealer(inst, cfg)
+            assert result.best is not None and len(result.run_log) == 3
+            seen.append((result, solution_sha256(tmp_path, result, seed, backend, iterations)))
+        assert seen[0] == seen[1]
+        if backend == "heuristic":
+            assert len(seen[0][0].checkpoint_runs) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("error,raised,text", [
+        (RunFailed("run in a worker failed"), RunFailed, "run in a worker failed"),
+        (NeedsTwoArgs("cannot rebuild", 1), RuntimeError, "NeedsTwoArgs: cannot rebuild"),
+    ])
+    def test_error_in_a_worker_reaches_the_caller(self, monkeypatch, error, raised, text):
+        """An exception other than NoSolution in a worker's run is raised in
+        the caller with its type, or as a RuntimeError carrying its traceback
+        when it does not survive pickling; every worker is reaped. The
+        caller's run is slowed, so that the worker's error arrives before the
+        caller would make the worker's run itself."""
+        pin_cpus(monkeypatch, 2)
+        caller, original = os.getpid(), heuristic._local_search
+
+        def failing(*args):
+            if os.getpid() != caller:
+                raise error
+            time.sleep(0.5)
+            return original(*args)
+
+        monkeypatch.setattr(heuristic, "_local_search", failing)
+        inst = Instance(items=cubes(2), bin=BinSpec(2, 2, 2, n=1))
+        with pytest.raises(raised, match=text):
+            solve_heuristic(inst, SolverConfig(iterations=5, seed=0, runs=2))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_order(self):
+        """Slot s makes its own runs s, s + W, ...; in iteration mode (hedge)
+        it then makes the other slots' runs in run order."""
+        assert config._order(0, 5, 2, False) == [0, 2, 4]
+        assert config._order(1, 5, 2, False) == [1, 3]
+        assert config._order(0, 5, 2, True) == [0, 2, 4, 1, 3]
+        assert config._order(1, 5, 2, True) == [1, 3, 0, 2, 4]
+        assert config._order(2, 4, 3, True) == [2, 0, 1, 3]
+
+    def test_stalled_worker_is_overtaken(self, monkeypatch):
+        """In iteration mode the caller makes a run itself when the worker
+        that owns it stalls, so the solve neither waits for the worker nor
+        changes its result; the stalled worker is killed and reaped."""
+        inst, cfg = archetype(4, seed=3), SolverConfig(iterations=40, seed=3, runs=2)
+        pin_cpus(monkeypatch, 1)
+        alone = solve_heuristic(inst, cfg)
+        caller, original = os.getpid(), heuristic._local_search
+
+        def stalling(*args):
+            if os.getpid() != caller:
+                time.sleep(60)
+            return original(*args)
+
+        monkeypatch.setattr(heuristic, "_local_search", stalling)
+        pin_cpus(monkeypatch, 2)
+        t0 = time.monotonic()
+        result = solve_heuristic(inst, cfg)
+        assert time.monotonic() - t0 < 30
+        assert result == alone
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_stalled_caller_is_overtaken(self, monkeypatch):
+        """In iteration mode a worker goes on to the caller's runs once its
+        own are made, and the caller abandons a run that arrives from the
+        worker: slowed to 50 ms an iteration, the caller alone would need
+        2 runs * 40 iterations * 50 ms = 4 s."""
+        inst, cfg = archetype(4, seed=3), SolverConfig(iterations=40, seed=3, runs=2)
+        pin_cpus(monkeypatch, 1)
+        alone = solve_heuristic(inst, cfg)
+        caller, original = os.getpid(), heuristic._local_search
+
+        def slow(pk, rng, stop, *rest):
+            if os.getpid() == caller:
+                def stop(iters, fast=stop):
+                    time.sleep(0.05)
+                    return fast(iters)
+            return original(pk, rng, stop, *rest)
+
+        monkeypatch.setattr(heuristic, "_local_search", slow)
+        pin_cpus(monkeypatch, 2)
+        t0 = time.monotonic()
+        result = solve_heuristic(inst, cfg)
+        assert time.monotonic() - t0 < 2
+        assert result == alone
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_solution_in_a_worker(self, monkeypatch):
+        """A run that raises NoSolution in a worker is dropped with its reason,
+        as with one slot: the reason is the last run's, here run 1's, which
+        two slots make in the worker."""
+        def no_solution(pk, rng, *rest):
+            raise NoSolution(f"run drew {rng.random()}")
+
+        monkeypatch.setattr(heuristic, "_local_search", no_solution)
+        inst = Instance(items=cubes(2), bin=BinSpec(2, 2, 2, n=1))
+        results = []
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            results.append(solve_heuristic(inst, SolverConfig(iterations=5, seed=0, runs=2)))
+        assert results[0] == results[1]
+        assert results[0].best is None and results[0].run_log == ()
+        assert results[0].infeasible_reason.startswith("run drew ")
 
 
 class TestCanPlace:
