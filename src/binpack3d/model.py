@@ -173,11 +173,7 @@ class QuadraticModel:
     m: int
     n: int
     index: VariableIndex = field(default_factory=VariableIndex)
-    var_id: dict[str, int] = field(default_factory=dict)
     row_scale: int = 1  # lcm of the rows' scales: a common unit for violations
-
-    def variable(self, tag: str) -> VariableRef:
-        return self.variables[self.var_id[tag]]
 
 
 @dataclass(frozen=True)
@@ -340,13 +336,11 @@ def build_model(instance: Instance,
     has_com = instance.com_target is not None
 
     variables: list[VariableRef] = []
-    var_id: dict[str, int] = {}
     idx = VariableIndex()
 
     def add_var(tag: str, binary: bool, lower: Number, upper: Number) -> int:
         vid = len(variables)
         variables.append(VariableRef(vid, tag, binary, Fraction(lower), Fraction(upper)))
-        var_id[tag] = vid
         return vid
 
     if n >= 2:
@@ -578,7 +572,6 @@ def build_model(instance: Instance,
         m=m,
         n=n,
         index=idx,
-        var_id=var_id,
         row_scale=math.lcm(*(con.expr.scale for con in constraints)),
     )
 

@@ -95,6 +95,9 @@ class _Ctx:
         # item -> ((k, dims, *constants of item_tail), ...) in orients order
         self.shapes = {i: tuple((k, dims, *self.tail_terms(dims)) for k, dims in ks)
                        for i, ks in self.orients.items()}
+        # item -> its least height over orientations: with tail_floor, the
+        # item's tail at height z is at least cz (z + min_c)
+        self.min_c = {i: min(dims[2] for _, dims in ks) for i, ks in self.orients.items()}
 
     def tail_terms(self, dims) -> tuple[int, int, int]:
         """The orientation's constants (cz c, a qx - px, b qy - py) of
@@ -116,9 +119,11 @@ class _Ctx:
 
 
 class _Bin:
-    """One bin's boxes and running totals, and its corner points: the origin
+    """One bin's boxes and running totals, and its corner index: the origin
     and the far corners (x1, y, z), (x, y1, z), (x, y, z1) of every box, kept
-    sorted by (z, y, x) as boxes are added and discarded."""
+    sorted by (z, y, x), with their covers. The boxes and the index are moved
+    separately (_Packing.put/lift against add_corners/drop_corners), so a
+    trial move can leave the index alone until it is accepted."""
 
     __slots__ = ("boxes", "load", "volume", "cats", "keys", "points", "refs", "cover",
                  "blocker")
@@ -168,9 +173,9 @@ class _Bin:
             if x <= p[0] < x1 and y <= p[1] < y1 and cover[p] is not None:
                 cover[p] += delta
 
-    def add(self, box: tuple) -> None:
+    def add_corners(self, box: tuple) -> None:
+        """Index the box: count it in the covers it holds, add its corners."""
         self._recount(box, 1)
-        insort(self.boxes, box, key=_BOX_Z)
         _, _, x, y, z, x1, y1, z1 = box
         for p in ((x1, y, z), (x, y1, z), (x, y, z1)):
             if p in self.refs:
@@ -182,10 +187,8 @@ class _Bin:
             self.keys.insert(i, (p[2], p[1], p[0]))
             self.points.insert(i, p)
 
-    def discard(self, box: tuple) -> None:
-        self.boxes.remove(box)
-        if box == self.blocker:
-            self.blocker = None
+    def drop_corners(self, box: tuple) -> None:
+        """Unindex the box: drop the corners only it had, uncount its covers."""
         _, _, x, y, z, x1, y1, z1 = box
         for p in ((x1, y, z), (x, y1, z), (x, y, z1)):
             self.refs[p] -= 1
@@ -201,7 +204,7 @@ class _Packing:
     def __init__(self, ctx: _Ctx) -> None:
         self.ctx = ctx
         self.bins: list[_Bin] = []
-        self.pos: dict[int, tuple] = {}  # item -> (bin_idx, k, x, y, z, a, b, c)
+        self.pos: dict[int, tuple] = {}  # item -> (bin_idx, box as in _Bin.boxes, item tail)
         self.group_bin: dict[int, dict[int, int]] = {}  # group -> {bin_idx: count}
         self.tail = 0  # sum of item tails, times ctx.D
 
@@ -303,43 +306,77 @@ class _Packing:
                     best = (tail, k, dims)
         return best
 
-    def place(self, item: int, j: int, k: int, dims, x: int, y: int, z: int) -> None:
-        a, b, c = dims
+    def put(self, item: int, j: int, box: tuple, tail: int) -> None:
+        """Add the item's box to bin j and to the totals, but not to the
+        corner index."""
+        ctx = self.ctx
         bn = self.bins[j]
-        bn.add((item, k, x, y, z, x + a, y + b, z + c))
-        bn.load += self.ctx.mu[item]
-        bn.volume += a * b * c
-        cat = self.ctx.cat[item]
+        insort(bn.boxes, box, key=_BOX_Z)
+        bn.load += ctx.mu[item]
+        bn.volume += ctx.volume[item]
+        cat = ctx.cat[item]
         bn.cats[cat] = bn.cats.get(cat, 0) + 1
-        g = self.ctx.group.get(cat)
+        g = ctx.group.get(cat)
         if g is not None:
             locs = self.group_bin.setdefault(g, {})
             locs[j] = locs.get(j, 0) + 1
-        self.pos[item] = (j, k, x, y, z, a, b, c)
-        self.tail += self.ctx.item_tail(item, x, y, z, dims)
+        self.pos[item] = (j, box, tail)
+        self.tail += tail
 
-    def remove(self, item: int) -> tuple:
-        j, k, x, y, z, a, b, c = self.pos.pop(item)
+    def lift(self, item: int) -> tuple:
+        """Take the item's box out of its bin and the totals, but not out of
+        the corner index; returns its pos entry."""
+        ctx = self.ctx
+        saved = self.pos.pop(item)
+        j, box, tail = saved
         bn = self.bins[j]
-        bn.discard((item, k, x, y, z, x + a, y + b, z + c))
-        bn.load -= self.ctx.mu[item]
-        bn.volume -= a * b * c
-        cat = self.ctx.cat[item]
+        bn.boxes.remove(box)
+        if box == bn.blocker:
+            bn.blocker = None
+        bn.load -= ctx.mu[item]
+        bn.volume -= ctx.volume[item]
+        cat = ctx.cat[item]
         bn.cats[cat] -= 1
         if bn.cats[cat] == 0:
             del bn.cats[cat]
-        g = self.ctx.group.get(cat)
+        g = ctx.group.get(cat)
         if g is not None:
             locs = self.group_bin[g]
             locs[j] -= 1
             if locs[j] == 0:
                 del locs[j]
-        self.tail -= self.ctx.item_tail(item, x, y, z, (a, b, c))
-        return (j, k, x, y, z, a, b, c)
+        self.tail -= tail
+        return saved
+
+    def place(self, item: int, j: int, k: int, dims, x: int, y: int, z: int,
+              tail: Optional[int] = None) -> None:
+        """Put the box and index it; tail is the item's, computed when not given."""
+        if tail is None:
+            tail = self.ctx.item_tail(item, x, y, z, dims)
+        box = (item, k, x, y, z, x + dims[0], y + dims[1], z + dims[2])
+        self.put(item, j, box, tail)
+        self.bins[j].add_corners(box)
+
+    def remove(self, item: int) -> tuple:
+        saved = self.lift(item)
+        self.bins[saved[0]].drop_corners(saved[1])
+        return saved
 
     def restore(self, item: int, saved: tuple) -> None:
-        j, k, x, y, z, a, b, c = saved
-        self.place(item, j, k, (a, b, c), x, y, z)
+        j, box, tail = saved
+        self.put(item, j, box, tail)
+        self.bins[j].add_corners(box)
+
+    def reindex(self, moved: Sequence[tuple[int, tuple]]) -> None:
+        """Bring the corner index up to date after put/lift moved items from
+        their (item, old pos entry) to their current spots: first the corners
+        of the boxes that left, then those of the boxes that entered, in the
+        order that the remove and place calls of the same move would use."""
+        for _, (j, box, _) in moved:
+            self.bins[j].drop_corners(box)
+        for item, _ in moved:
+            j, box, _ = self.pos[item]
+            self.bins[j].add_corners(box)
 
     def candidates(self, j: int) -> list[tuple[int, int, int]]:
         """Bin j's corner points in (z, y, x) order. The list is live: it
@@ -353,7 +390,7 @@ class _Packing:
         slot = {j: new for new, j in enumerate(nonempty)}
         placements = []
         for item in sorted(self.pos):
-            j, k, x, y, z, _, _, _ = self.pos[item]
+            j, (_, k, x, y, z, *_), _ = self.pos[item]
             placements.append(Placement(item=item, bin=slot[j] + 1, k=k,
                                         x=x + slot[j] * self.ctx.L, y=y, z=z))
         return PackingSolution(tuple(placements))
@@ -420,7 +457,7 @@ def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
     # candidates run in (z, y, x) order and then a tail is at least
     # cz (z + c), so the cut is the first point with cz (z + min c) >= bound
     cut = bound is not None and ctx.tail_floor
-    min_c = min(dims[2] for _, dims, *_ in shapes)
+    min_c = ctx.min_c[item]
     locked = pk.locked_bin(item)
     spots = []  # (tail, enumeration index, j, k, dims, x, y, z)
     for j in bins:
@@ -461,8 +498,11 @@ def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
     return None
 
 
-def _move_reinsert(pk: _Packing, rng: random.Random, cap: int, different_bin: bool) -> bool:
-    items = sorted(pk.pos)
+def _move_reinsert(pk: _Packing, rng: random.Random, cap: int, different_bin: bool,
+                   items: Optional[Sequence[int]] = None) -> bool:
+    """items: every placed item, sorted; built from pk.pos when not given."""
+    if items is None:
+        items = sorted(pk.pos)
     item = items[rng.randrange(len(items))]
     o1, tail = pk.score()
     saved = pk.remove(item)
@@ -476,54 +516,67 @@ def _move_reinsert(pk: _Packing, rng: random.Random, cap: int, different_bin: bo
     if best is None:
         pk.restore(item, saved)
         return False
-    _, j, k, dims, x, y, z = best
-    pk.place(item, j, k, dims, x, y, z)
+    tail, j, k, dims, x, y, z = best
+    pk.place(item, j, k, dims, x, y, z, tail)
     return True
 
 
-def _move_swap(pk: _Packing, rng: random.Random) -> bool:
-    items = sorted(pk.pos)
+# A swap or reorient puts each moved item at a fixed spot of a bin that stays
+# used, so o1 stays and the move is kept only when it lowers the tail. Its
+# trial moves boxes and totals (put/lift) and leaves the corner index, which
+# it never reads, to one reindex on acceptance. With no negative tail rate,
+# the moved items' least tails at their new heights bound the new tail from
+# below, and a move that cannot get under the current tail is not tried.
+
+def _move_swap(pk: _Packing, rng: random.Random, items: Sequence[int]) -> bool:
     if len(items) < 2:
         return False
     i, o = rng.sample(items, 2)
-    before = pk.score()
-    si = pk.remove(i)
-    so = pk.remove(o)
+    ctx = pk.ctx
+    si, so = pk.pos[i], pk.pos[o]
+    before = pk.tail
+    # each item goes to the other's z (pos entries are (bin, box, tail), box[4] is z)
+    if (ctx.tail_floor and ctx.cz * (so[1][4] + ctx.min_c[i] + si[1][4] + ctx.min_c[o])
+            >= si[2] + so[2]):
+        return False
+    pk.lift(i)
+    pk.lift(o)
     placed = []
-    ok = True
-    for item, (j, _, x, y, z, *_) in ((i, so), (o, si)):
+    for item, (j, (_, _, x, y, z, *_), _) in ((i, so), (o, si)):
         got = pk.least_tail_at(item, j, x, y, z)
         if got is None:
-            ok = False
             break
-        _, k, dims = got
-        pk.place(item, j, k, dims, x, y, z)
+        tail, k, (a, b, c) = got
+        pk.put(item, j, (item, k, x, y, z, x + a, y + b, z + c), tail)
         placed.append(item)
-    if ok and pk.score() < before:
+    if len(placed) == 2 and pk.tail < before:
+        pk.reindex(((i, si), (o, so)))
         return True
     for item in reversed(placed):
-        pk.remove(item)
-    pk.restore(i, si)
-    pk.restore(o, so)
+        pk.lift(item)
+    pk.put(i, *si)
+    pk.put(o, *so)
     return False
 
 
-def _move_reorient(pk: _Packing, rng: random.Random) -> bool:
-    items = sorted(pk.pos)
+def _move_reorient(pk: _Packing, rng: random.Random, items: Sequence[int]) -> bool:
     item = items[rng.randrange(len(items))]
-    if len(pk.ctx.orients[item]) < 2:
+    ctx = pk.ctx
+    if len(ctx.orients[item]) < 2:
         return False
-    before = pk.score()
-    saved = pk.remove(item)
-    j, _, x, y, z = saved[:5]
+    saved = pk.pos[item]
+    j, (_, _, x, y, z, *_), old_tail = saved
+    if ctx.tail_floor and ctx.cz * (z + ctx.min_c[item]) >= old_tail:
+        return False
+    pk.lift(item)
     best = pk.least_tail_at(item, j, x, y, z)
-    if best is not None:
-        _, k, dims = best
-        pk.place(item, j, k, dims, x, y, z)
-        if pk.score() < before:
-            return True
-        pk.remove(item)
-    pk.restore(item, saved)
+    # the item's tail is the only one that changes
+    if best is not None and best[0] < old_tail:
+        tail, k, (a, b, c) = best
+        pk.put(item, j, (item, k, x, y, z, x + a, y + b, z + c), tail)
+        pk.reindex(((item, saved),))
+        return True
+    pk.put(item, *saved)
     return False
 
 
@@ -531,11 +584,13 @@ def _local_search(pk: _Packing, rng: random.Random, stop: Stop,
                   checkpoints: Optional[Sequence[int]] = None
                   ) -> list[Fraction]:
     ctx = pk.ctx
+    # every move ends with all items placed, so the sorted item list is fixed
+    items = sorted(pk.pos)
     moves = [
-        lambda: _move_reinsert(pk, rng, CANDIDATE_CAP, False),
-        lambda: _move_swap(pk, rng),
-        lambda: _move_reorient(pk, rng),
-        lambda: _move_reinsert(pk, rng, CANDIDATE_CAP, True),
+        lambda: _move_reinsert(pk, rng, CANDIDATE_CAP, False, items),
+        lambda: _move_swap(pk, rng, items),
+        lambda: _move_reorient(pk, rng, items),
+        lambda: _move_reinsert(pk, rng, CANDIDATE_CAP, True, items),
     ]
     marks = sorted(checkpoints) if checkpoints else []
     cp_log: list[Fraction] = []

@@ -88,11 +88,12 @@ class TestBuildStructure:
     def test_variable_bounds(self):
         inst = distinct_items([(2, 3, 5)], BinSpec(10, 8, 6, n=2), com_target=(4, 4))
         model = build_model(inst)
-        assert model.variable("x_0").upper == 20  # n*L
-        assert model.variable("y_0").upper == 8
-        assert model.variable("z_0").upper == 6
-        assert model.variable("xt_0").upper == 6  # max(4, 10-4)
-        assert model.variable("yt_0").upper == 4
+        var, idx = model.variables, model.index
+        assert var[idx.x[0]].upper == 20  # n*L
+        assert var[idx.y[0]].upper == 8
+        assert var[idx.z[0]].upper == 6
+        assert var[idx.xt[0]].upper == 6  # max(4, 10-4)
+        assert var[idx.yt[0]].upper == 4
 
     def test_objective_is_linear(self):
         rng = random.Random(5)

@@ -34,7 +34,7 @@ from binpack3d.solver import annealer, config, heuristic
 from binpack3d.solver.config import NoSolution
 from binpack3d.solver.heuristic import (CANDIDATE_CAP, _Bin, _Ctx, _Packing, _best_spot,
                                         _construct, _local_search, _move_reinsert,
-                                        _order_blocks)
+                                        _move_reorient, _move_swap, _order_blocks)
 from binpack3d.validate import check, objectives
 
 from helpers import enumerate_feasible, oracle_instance, respects_relpos, solvable_instance
@@ -684,6 +684,188 @@ class TestBestSpot:
         spot = _best_spot(pk, 7, [0], random.Random(0), CANDIDATE_CAP)
         assert spot == reference_best_spot(pk, 7, [0], random.Random(0), CANDIDATE_CAP)
         assert spot[1:] == (0, 1, (1, 1, 1), 1, 1, 1)
+
+
+def dense_packing(draw):
+    """A random partial packing with weight caps, negative and positive
+    affinities, avoid/favour triples, maybe a CoM target, and tail weights of
+    either sign: each item is tried at up to eight random spots, most of them
+    corner points, and placed at the first one can_place admits."""
+    L, W, H = (draw(st.integers(3, 7)) for _ in range(3))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 30))
+    items = tuple(Item(index=i, l=draw(st.integers(1, min(L, 3))),
+                       w=draw(st.integers(1, min(W, 3))), h=draw(st.integers(1, min(H, 3))),
+                       mu=draw(st.integers(1, 9)), category=draw(st.integers(0, 3)))
+                  for i in range(m))
+    cat_pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+    neg = draw(st.sets(st.sampled_from(cat_pairs), max_size=2))
+    pos = draw(st.sets(st.sampled_from([p for p in cat_pairs if p not in neg]), max_size=2))
+    item_pairs = [(i, k) for i in range(m) for k in range(i + 1, m)]
+    relpos = draw(st.lists(st.tuples(st.sampled_from(item_pairs), st.integers(1, 6),
+                                     st.booleans()), max_size=12, unique_by=lambda t: t[0]))
+    inst = Instance(
+        items=items,
+        bin=BinSpec(L, W, H, n=n, max_weight=draw(st.none() | st.integers(9, 60))),
+        affinities=Affinities(positive=frozenset(pos), negative=frozenset(neg)),
+        com_target=draw(st.none() | st.tuples(st.integers(0, L), st.integers(0, W)).map(
+            lambda t: (Fraction(t[0]), Fraction(t[1])))),
+        relpos_avoid=frozenset((*pair, q) for pair, q, avoid in relpos if avoid),
+        relpos_favour=frozenset((*pair, q) for pair, q, avoid in relpos if not avoid),
+    )
+    # a negative tail rate switches off the bound that swap and reorient use
+    rate = st.sampled_from((0, Fraction(2, 3), 1, -1, Fraction(-5, 3)))
+    ctx = _Ctx(inst, (1, draw(rate), draw(rate)))
+    pk = _Packing(ctx)
+    pk.bins.extend(_Bin() for _ in range(n))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    for item in range(m):
+        for _ in range(8):
+            j = rnd.randrange(n)
+            k, dims = rnd.choice(ctx.orients[item])
+            if rnd.random() < 0.8:
+                x, y, z = rnd.choice(pk.candidates(j))
+            else:
+                x, y, z = (rnd.randrange(d) for d in (L, W, H))
+            if pk.can_place(item, j, dims, x, y, z):
+                pk.place(item, j, k, dims, x, y, z)
+                break
+    return pk
+
+
+def reference_swap(pk, rng, items):
+    """The swap as full remove/place calls, with no bound: every trial keeps
+    the corner index up to date, and a rejected one undoes itself."""
+    if len(items) < 2:
+        return False
+    i, o = rng.sample(items, 2)
+    before = pk.score()
+    si = pk.remove(i)
+    so = pk.remove(o)
+    placed = []
+    ok = True
+    for item, (j, (_, _, x, y, z, *_), _) in ((i, so), (o, si)):
+        got = pk.least_tail_at(item, j, x, y, z)
+        if got is None:
+            ok = False
+            break
+        _, k, dims = got
+        pk.place(item, j, k, dims, x, y, z)
+        placed.append(item)
+    if ok and pk.score() < before:
+        return True
+    for item in reversed(placed):
+        pk.remove(item)
+    pk.restore(i, si)
+    pk.restore(o, so)
+    return False
+
+
+def reference_reorient(pk, rng, items):
+    """The reorient as full remove/place calls, with no bound."""
+    item = items[rng.randrange(len(items))]
+    if len(pk.ctx.orients[item]) < 2:
+        return False
+    before = pk.score()
+    saved = pk.remove(item)
+    j, (_, _, x, y, z, *_), _ = saved
+    best = pk.least_tail_at(item, j, x, y, z)
+    if best is not None:
+        _, k, dims = best
+        pk.place(item, j, k, dims, x, y, z)
+        if pk.score() < before:
+            return True
+        pk.remove(item)
+    pk.restore(item, saved)
+    return False
+
+
+def bookkeeping(pk):
+    return (dict(pk.pos), pk.tail, [(bn.load, bn.volume, dict(bn.cats)) for bn in pk.bins],
+            {g: dict(locs) for g, locs in pk.group_bin.items()})
+
+
+def corner_index(pk):
+    return [(list(bn.keys), list(bn.points), dict(bn.refs), dict(bn.cover)) for bn in pk.bins]
+
+
+class TestTrialMoves:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_match_full_moves(self, data):
+        """Swap and reorient give the full remove/place versions' result,
+        totals and random stream, and after every move each bin's corner
+        index equals the rebuild from its boxes and its blocker is current."""
+        draw = data.draw
+        pk = dense_packing(draw)
+        twin = pk.copy()
+        items = sorted(pk.pos)
+        if not items:
+            return
+        seed = draw(st.integers(0, 2 ** 32))
+        rng, rng_ref = random.Random(seed), random.Random(seed)
+        for _ in range(draw(st.integers(1, 30))):
+            if draw(st.booleans()):
+                got, want = _move_swap(pk, rng, items), reference_swap(twin, rng_ref, items)
+            else:
+                got, want = (_move_reorient(pk, rng, items),
+                             reference_reorient(twin, rng_ref, items))
+            assert got == want
+            assert bookkeeping(pk) == bookkeeping(twin)
+            assert rng.getstate() == rng_ref.getstate()
+            for j, bn in enumerate(pk.bins):
+                cands = pk.candidates(j)
+                assert cands == reference_candidates(bn)
+                assert [bn.occupied(*p) for p in cands] == \
+                    [reference_occupied(bn, *p) for p in cands]
+                assert bn.blocker is None or bn.blocker in bn.boxes
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_rejected_trial_leaves_the_index(self, data):
+        """A rejected swap or reorient never recounts a cover and leaves
+        every bin's corner points, their references and covers as they were."""
+        draw = data.draw
+        pk = dense_packing(draw)
+        items = sorted(pk.pos)
+        if not items:
+            return
+        recounts = []
+        original = _Bin._recount
+
+        def counted(bn, box, delta):
+            recounts.append(box)
+            original(bn, box, delta)
+
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Bin, "_recount", counted)
+            for _ in range(30):
+                before = corner_index(pk)
+                recounts.clear()
+                move = _move_swap if draw(st.booleans()) else _move_reorient
+                if not move(pk, rng, items):
+                    assert recounts == []
+                    assert corner_index(pk) == before
+
+    def test_bound_refuses_before_moving(self, monkeypatch):
+        """Two boxes lying flat on the floor, no CoM target: no swap or
+        reorient can lower their tails, so neither lifts a box."""
+        items = tuple(Item(index=i, l=2, w=1, h=1, mu=1, category=0) for i in range(2))
+        pk = _Packing(_Ctx(Instance(items=items, bin=BinSpec(4, 4, 4, n=1)), (1, 1, 1)))
+        pk.bins.append(_Bin())
+        pk.place(0, 0, 1, (2, 1, 1), 0, 0, 0)
+        pk.place(1, 0, 1, (2, 1, 1), 0, 1, 0)
+        assert all(min(d[2] for _, d in pk.ctx.orients[i]) == 1 for i in range(2))
+        lifted = []
+        monkeypatch.setattr(_Packing, "lift", lambda self, item: lifted.append(item))
+        before = bookkeeping(pk), corner_index(pk)
+        for seed in range(5):
+            rng = random.Random(seed)
+            assert not _move_swap(pk, rng, [0, 1])
+            assert not _move_reorient(pk, rng, [0, 1])
+        assert lifted == []
+        assert (bookkeeping(pk), corner_index(pk)) == before
 
 
 def solution_sha256(tmp_path, result, seed, solver="heuristic", iterations=40):
