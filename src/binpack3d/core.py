@@ -271,10 +271,9 @@ def separation_mask(p0: tuple[int, int, int], d0: tuple[int, int, int],
     return mask
 
 
-def relpos_masks(instance: Instance
-                 ) -> tuple[dict[tuple[int, int], tuple[int, int]], frozenset[int]]:
+def relpos_masks(instance: Instance) -> dict[tuple[int, int], tuple[int, int]]:
     """The avoid and favour triples as one table (i, k) -> (allowed, required)
-    over i < k, plus the items that appear in any pair.
+    over i < k.
 
     Two boxes of a pair sharing a bin, with separation_mask(i's box, k's box)
     = mask, satisfy their triples when mask & allowed is nonzero (a position
@@ -289,7 +288,7 @@ def relpos_masks(instance: Instance
     for i, k, q in instance.relpos_favour:
         allowed, required = table.get((i, k), (all_bits, 0))
         table[(i, k)] = (allowed, required | 1 << q)
-    return table, frozenset(i for pair in table for i in pair)
+    return table
 
 
 def nonredundant_orientations(item: Item) -> frozenset[int]:

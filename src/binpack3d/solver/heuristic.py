@@ -33,7 +33,7 @@ from .config import NoSolution, SolveResult, SolverConfig, Stop, run_backend
 RESTARTS = 8  # shuffled-order constructions tried after the first fails
 # relative weights of the (reinsert, swap, reorient, rebin) moves
 MOVE_WEIGHTS = (0.35, 0.30, 0.20, 0.15)
-CANDIDATE_CAP = 48  # a reinsert tries at most this many corner points per bin
+CANDIDATE_CAP = 48  # a reinsert tries at most this many corners per bin
 # separation mask -> the mask of the swapped pair: bit q moves to mirror_relpos(q)
 _MIRROR = [sum(1 << mirror_relpos(q) for q in RELPOS if mask >> q & 1)
            for mask in range(1 << (max(RELPOS) + 1))]
@@ -53,11 +53,6 @@ class _Ctx:
         self.m = instance.m
         self.max_weight = instance.bin.max_weight
         self.w1, w2, w3 = (Fraction(w) for w in weights)
-        self.orients = {
-            it.index: tuple((k, effective_dims(it, k))
-                            for k in sorted(allowed_orientations(it)))
-            for it in instance.items
-        }
         self.mu = {it.index: it.mu for it in instance.items}
         self.volume = {it.index: it.volume for it in instance.items}
         self.bin_volume = self.L * self.W * self.H
@@ -69,7 +64,7 @@ class _Ctx:
         # other's box); the (i, k) table over i < k, mirrored for k's side
         self.rules: dict[int, dict[int, tuple[int, int]]] = {}
         mirrored: dict[tuple[int, int], tuple[int, int]] = {}  # one tuple per distinct rule
-        for (i, k), rule in relpos_masks(instance)[0].items():
+        for (i, k), rule in relpos_masks(instance).items():
             self.rules.setdefault(i, {})[k] = rule
             if rule not in mirrored:
                 mirrored[rule] = (_MIRROR[rule[0]], _MIRROR[rule[1]])
@@ -81,36 +76,36 @@ class _Ctx:
         rate_z = w2 / (self.m * self.H)
         self.D = rate_z.denominator
         self.com = None
+        qx = px = qy = py = 0
         if instance.com_target is not None and w3 != 0:
             lt, wt = instance.com_target
             qx, qy = (2 * lt).denominator, (2 * wt).denominator
+            px, py = int(2 * lt * qx), int(2 * wt * qy)
             rate_x = w3 / (2 * self.m * self.L * qx)
             rate_y = w3 / (2 * self.m * self.W * qy)
             self.D = math.lcm(self.D, rate_x.denominator, rate_y.denominator)
-            self.com = (qx, int(2 * lt * qx), int(rate_x * self.D),
-                        qy, int(2 * wt * qy), int(rate_y * self.D))
-        self.cz = int(rate_z * self.D)
+            self.com = (qx, px, int(rate_x * self.D), qy, py, int(rate_y * self.D))
+        self.cz = cz = int(rate_z * self.D)
         # with no negative rate a tail is at least cz (z + c)
         self.tail_floor = w2 >= 0 and w3 >= 0
-        # item -> ((k, dims, *constants of item_tail), ...) in orients order
-        self.shapes = {i: tuple((k, dims, *self.tail_terms(dims)) for k, dims in ks)
-                       for i, ks in self.orients.items()}
+        # item -> its allowed orientations in k order, each a shape (k, dims,
+        # cz c, a qx - px, b qy - py) with the constants of item_tail
+        self.shapes: dict[int, tuple[tuple, ...]] = {}
+        for it in instance.items:
+            shapes = []
+            for k in sorted(allowed_orientations(it)):
+                a, b, c = dims = effective_dims(it, k)
+                shapes.append((k, dims, cz * c, a * qx - px, b * qy - py))
+            self.shapes[it.index] = tuple(shapes)
         # item -> its least height over orientations: with tail_floor, the
         # item's tail at height z is at least cz (z + min_c)
-        self.min_c = {i: min(dims[2] for _, dims in ks) for i, ks in self.orients.items()}
+        self.min_c = {i: min(s[1][2] for s in ss) for i, ss in self.shapes.items()}
 
-    def tail_terms(self, dims) -> tuple[int, int, int]:
-        """The orientation's constants (cz c, a qx - px, b qy - py) of
-        item_tail = cz z + cz c + cx |2 qx x + a qx - px| + cy |2 qy y + b qy - py|."""
-        a, b, c = dims
-        if self.com is None:
-            return (self.cz * c, 0, 0)
-        qx, px, _, qy, py, _ = self.com
-        return (self.cz * c, a * qx - px, b * qy - py)
-
-    def item_tail(self, i: int, x: int, y: int, z: int, dims) -> int:
-        """This item's share of the weighted (o2, o3) objective tail, times D."""
-        zc, ax, by = self.tail_terms(dims)
+    def item_tail(self, shape: tuple, x: int, y: int, z: int) -> int:
+        """The share of the weighted (o2, o3) objective tail, times D, of an
+        item in orientation shape at (x, y, z): cz z + cz c
+        + cx |2 qx x + a qx - px| + cy |2 qy y + b qy - py|."""
+        _, _, zc, ax, by = shape
         tail = self.cz * z + zc
         if self.com is not None:
             qx, _, cx, qy, _, cy = self.com
@@ -121,12 +116,12 @@ class _Ctx:
 class _Bin:
     """One bin's boxes and running totals, and its corner index: the origin
     and the far corners (x1, y, z), (x, y1, z), (x, y, z1) of every box, kept
-    sorted by (z, y, x), with their covers. The boxes and the index are moved
-    separately (_Packing.put/lift against add_corners/drop_corners), so a
-    trial move can leave the index alone until it is accepted."""
+    as (z, y, x) tuples in one sorted list, with their covers. The boxes and
+    the index are moved separately (_Packing.put/lift against
+    add_corners/drop_corners), so a trial move can leave the index alone
+    until it is accepted."""
 
-    __slots__ = ("boxes", "load", "volume", "cats", "keys", "points", "refs", "cover",
-                 "blocker")
+    __slots__ = ("boxes", "load", "volume", "cats", "corners", "refs", "cover", "blocker")
 
     def __init__(self) -> None:
         # (item, k, x, y, z, x + a, y + b, z + c) bin-local, sorted by z
@@ -134,69 +129,66 @@ class _Bin:
         self.load = 0
         self.volume = 0  # sum of the boxes' volumes
         self.cats: dict[int, int] = {}
-        self.keys: list[tuple[int, int, int]] = [(0, 0, 0)]  # corner points as (z, y, x), sorted
-        self.points: list[tuple[int, int, int]] = [(0, 0, 0)]  # the same points as (x, y, z)
-        self.refs = {(0, 0, 0): 1}  # point -> boxes cornered there; the origin is pinned
-        # point -> boxes whose half-open extent holds it, or None until asked
+        self.corners: list[tuple[int, int, int]] = [(0, 0, 0)]  # (z, y, x), sorted
+        self.refs = {(0, 0, 0): 1}  # corner -> boxes cornered there; the origin is pinned
+        # corner -> boxes whose half-open extent holds it, or None until asked
         self.cover: dict[tuple[int, int, int], Optional[int]] = {(0, 0, 0): 0}
         self.blocker: Optional[tuple] = None  # the box that last made fits reject
 
     def copy(self) -> _Bin:
         bn = _Bin()
-        bn.boxes, bn.keys, bn.points = list(self.boxes), list(self.keys), list(self.points)
+        bn.boxes, bn.corners = list(self.boxes), list(self.corners)
         bn.cats, bn.refs, bn.cover = dict(self.cats), dict(self.refs), dict(self.cover)
         bn.load, bn.volume, bn.blocker = self.load, self.volume, self.blocker
         return bn
 
-    def occupied(self, x: int, y: int, z: int) -> bool:
-        """Whether the corner point lies in a box's half-open extent, so that
-        every box cornered there overlaps it. Counted the first time asked."""
-        count = self.cover[(x, y, z)]
+    def occupied(self, p: tuple[int, int, int]) -> bool:
+        """Whether the corner (z, y, x) lies in a box's half-open extent, so
+        that every box cornered there overlaps it. Counted the first time asked."""
+        count = self.cover[p]
         if count is None:
             count = 0
+            z, y, x = p
             # boxes sorted by z: only the slice with oz <= z can hold the point
             for (_, _, ox, oy, oz, ox1, oy1, oz1) in self.boxes[
                     :bisect_left(self.boxes, z + 1, key=_BOX_Z)]:
                 if z < oz1 and ox <= x < ox1 and oy <= y < oy1:
                     count += 1
-            self.cover[(x, y, z)] = count
+            self.cover[p] = count
         return count > 0
 
     def _recount(self, box: tuple, delta: int) -> None:
-        """Add delta to the counted cover of each point inside box. Only points
-        with z in [z, z1) can be, and keys sorted by z first hold them in one slice."""
+        """Add delta to the counted cover of each corner inside box. Only
+        corners with z in [z, z1) can be, and they form one slice of corners."""
         _, _, x, y, z, x1, y1, z1 = box
-        lo = bisect_left(self.keys, (z,))
-        hi = bisect_left(self.keys, (z1,), lo)
+        lo = bisect_left(self.corners, (z,))
+        hi = bisect_left(self.corners, (z1,), lo)
         cover = self.cover
-        for p in self.points[lo:hi]:
-            if x <= p[0] < x1 and y <= p[1] < y1 and cover[p] is not None:
+        for p in self.corners[lo:hi]:
+            if x <= p[2] < x1 and y <= p[1] < y1 and cover[p] is not None:
                 cover[p] += delta
 
     def add_corners(self, box: tuple) -> None:
         """Index the box: count it in the covers it holds, add its corners."""
         self._recount(box, 1)
         _, _, x, y, z, x1, y1, z1 = box
-        for p in ((x1, y, z), (x, y1, z), (x, y, z1)):
+        for p in ((z, y, x1), (z, y1, x), (z1, y, x)):
             if p in self.refs:
                 self.refs[p] += 1
                 continue
             self.refs[p] = 1
             self.cover[p] = None
-            i = bisect_left(self.keys, (p[2], p[1], p[0]))
-            self.keys.insert(i, (p[2], p[1], p[0]))
-            self.points.insert(i, p)
+            insort(self.corners, p)
 
     def drop_corners(self, box: tuple) -> None:
         """Unindex the box: drop the corners only it had, uncount its covers."""
         _, _, x, y, z, x1, y1, z1 = box
-        for p in ((x1, y, z), (x, y1, z), (x, y, z1)):
+        for p in ((z, y, x1), (z, y1, x), (z1, y, x)):
             self.refs[p] -= 1
             if self.refs[p]:
                 continue
             del self.refs[p], self.cover[p]
-            i = bisect_left(self.keys, (p[2], p[1], p[0]))
-            del self.keys[i], self.points[i]
+            del self.corners[bisect_left(self.corners, p)]
         self._recount(box, -1)
 
 
@@ -220,9 +212,6 @@ class _Packing:
     @property
     def o1(self) -> int:
         return sum(1 for b in self.bins if b.boxes)
-
-    def score(self) -> tuple[int, int]:
-        return (self.o1, self.tail)
 
     def energy(self) -> Fraction:
         e = Fraction(self.tail, self.ctx.D)
@@ -284,26 +273,21 @@ class _Packing:
                     return False
         return True
 
-    def can_place(self, item: int, j: int, dims, x: int, y: int, z: int) -> bool:
-        ctx = self.ctx
-        if x + dims[0] > ctx.L or y + dims[1] > ctx.W or z + dims[2] > ctx.H:
-            return False
-        return self.admits(item, j) and self.fits(item, j, dims, x, y, z)
-
     def least_tail_at(self, item: int, j: int, x: int, y: int, z: int
                       ) -> Optional[tuple[int, int, tuple]]:
-        """(tail, k, dims) of the first orientation of least item tail that
-        can_place admits at the fixed spot (x, y, z) of bin j, or None."""
+        """(tail, k, dims) of the first orientation of least item tail that is
+        in bounds, admitted and fits at the fixed spot (x, y, z) of bin j, or None."""
         if not self.admits(item, j):
             return None
         ctx = self.ctx
         best = None
-        for k, dims in ctx.orients[item]:
+        for shape in ctx.shapes[item]:
+            dims = shape[1]
             if (x + dims[0] <= ctx.L and y + dims[1] <= ctx.W and z + dims[2] <= ctx.H
                     and self.fits(item, j, dims, x, y, z)):
-                tail = ctx.item_tail(item, x, y, z, dims)
+                tail = ctx.item_tail(shape, x, y, z)
                 if best is None or tail < best[0]:
-                    best = (tail, k, dims)
+                    best = (tail, shape[0], dims)
         return best
 
     def put(self, item: int, j: int, box: tuple, tail: int) -> None:
@@ -348,24 +332,17 @@ class _Packing:
         self.tail -= tail
         return saved
 
-    def place(self, item: int, j: int, k: int, dims, x: int, y: int, z: int,
-              tail: Optional[int] = None) -> None:
-        """Put the box and index it; tail is the item's, computed when not given."""
-        if tail is None:
-            tail = self.ctx.item_tail(item, x, y, z, dims)
-        box = (item, k, x, y, z, x + dims[0], y + dims[1], z + dims[2])
+    def place(self, item: int, j: int, box: tuple, tail: int) -> None:
+        """Put the item's box, with its tail, into bin j and index it; the
+        inverse of remove: place(item, *remove(item)) leaves the packing as it was."""
         self.put(item, j, box, tail)
         self.bins[j].add_corners(box)
 
     def remove(self, item: int) -> tuple:
+        """Lift the item and unindex its box; returns its pos entry."""
         saved = self.lift(item)
         self.bins[saved[0]].drop_corners(saved[1])
         return saved
-
-    def restore(self, item: int, saved: tuple) -> None:
-        j, box, tail = saved
-        self.put(item, j, box, tail)
-        self.bins[j].add_corners(box)
 
     def reindex(self, moved: Sequence[tuple[int, tuple]]) -> None:
         """Bring the corner index up to date after put/lift moved items from
@@ -377,11 +354,6 @@ class _Packing:
         for item, _ in moved:
             j, box, _ = self.pos[item]
             self.bins[j].add_corners(box)
-
-    def candidates(self, j: int) -> list[tuple[int, int, int]]:
-        """Bin j's corner points in (z, y, x) order. The list is live: it
-        changes with the next place or remove, and callers must not mutate it."""
-        return self.bins[j].points
 
     def to_solution(self) -> PackingSolution:
         """Emit with empty bins dropped, so bin numbers run 1..o1 (moves keep
@@ -396,45 +368,45 @@ class _Packing:
         return PackingSolution(tuple(placements))
 
 
+def _first_fit(pk: _Packing, item: int, j: int) -> bool:
+    """Place the item in bin j, used or newly opened, at its lowest free
+    corner point in the first orientation that fits there; whether it did."""
+    if not pk.admits(item, j):
+        return False
+    ctx = pk.ctx
+    bn = pk.bins[j]
+    cover = bn.cover
+    for p in bn.corners:
+        count = cover[p]
+        if count or (count is None and bn.occupied(p)):
+            continue
+        z, y, x = p
+        for shape in ctx.shapes[item]:
+            dims = shape[1]
+            if (x + dims[0] <= ctx.L and y + dims[1] <= ctx.W and z + dims[2] <= ctx.H
+                    and pk.fits(item, j, dims, x, y, z)):
+                a, b, c = dims
+                # corners changes here, so the scan ends with the placement
+                pk.place(item, j, (item, shape[0], x, y, z, x + a, y + b, z + c),
+                         ctx.item_tail(shape, x, y, z))
+                return True
+    return False
+
+
 def _construct(ctx: _Ctx, order: Sequence[int]) -> tuple[Optional[_Packing], Optional[int]]:
-    """First fit: the first admitting bin, lowest free corner point, first
-    orientation that fits; a new bin when none does."""
+    """First fit: each item goes to the first used bin that _first_fit places
+    it in, else to a newly opened one (which admits checks like any other:
+    an item whose group holds a bin is refused); (None, item) for the first
+    item that no bin takes."""
     pk = _Packing(ctx)
     for item in order:
-        placed = False
-        for j in range(len(pk.bins)):
-            if not pk.admits(item, j):
-                continue
-            bn = pk.bins[j]
-            cover = bn.cover
-            # the list is live: stop iterating it once the item is placed
-            for p in pk.candidates(j):
-                x, y, z = p
-                count = cover[p]
-                if count or (count is None and bn.occupied(x, y, z)):
-                    continue
-                for k, dims in ctx.orients[item]:
-                    if (x + dims[0] <= ctx.L and y + dims[1] <= ctx.W and z + dims[2] <= ctx.H
-                            and pk.fits(item, j, dims, x, y, z)):
-                        pk.place(item, j, k, dims, x, y, z)
-                        placed = True
-                        break
-                if placed:
-                    break
-            if placed:
-                break
-        if not placed and len(pk.bins) < ctx.n and pk.locked_bin(item) is None:
+        if any(_first_fit(pk, item, j) for j in range(len(pk.bins))):
+            continue
+        if len(pk.bins) < ctx.n:
             pk.bins.append(_Bin())
-            j = len(pk.bins) - 1
-            for k, dims in ctx.orients[item]:
-                if pk.can_place(item, j, dims, 0, 0, 0):
-                    pk.place(item, j, k, dims, 0, 0, 0)
-                    placed = True
-                    break
-            if not placed:
-                pk.bins.pop()
-        if not placed:
-            return None, item
+            if _first_fit(pk, item, len(pk.bins) - 1):
+                continue
+        return None, item
     return pk, None
 
 
@@ -442,20 +414,20 @@ def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
                cap: int, bound: Optional[int] = None
                ) -> Optional[tuple[int, int, int, tuple, int, int, int]]:
     """Cheapest feasible placement by item tail, ties going to the first spot
-    in (bin, candidate, orientation) order; None when there is none or, given
+    in (bin, corner, orientation) order; None when there is none or, given
     a bound, when its tail is not under the bound. Every in-bounds spot on a
-    free point is scored, spots at or over the bound are dropped, and the
-    position checks run cheapest first until one passes. Under a bound and
-    with no negative tail rate, a bin's scan ends at the first point too high
-    for any spot there or later to score under it."""
+    free corner gets its tail, spots at or over the bound are dropped, and
+    the position checks run cheapest first until one passes. Under a bound
+    and with no negative tail rate, a bin's scan ends at the first corner too
+    high for any spot there or later to come in under it."""
     ctx = pk.ctx
     L, W, H = ctx.L, ctx.W, ctx.H
     cz, com = ctx.cz, ctx.com
     if com is not None:
         qx, _, cx, qy, _, cy = com
     shapes = ctx.shapes[item]
-    # candidates run in (z, y, x) order and then a tail is at least
-    # cz (z + c), so the cut is the first point with cz (z + min c) >= bound
+    # corners run in (z, y, x) order and a tail is then at least
+    # cz (z + c), so the cut is the first corner with cz (z + min c) >= bound
     cut = bound is not None and ctx.tail_floor
     min_c = ctx.min_c[item]
     locked = pk.locked_bin(item)
@@ -463,10 +435,10 @@ def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
     for j in bins:
         if locked is not None and locked != j:
             continue
-        cands = pk.candidates(j)
+        cands = pk.bins[j].corners
         if len(cands) > cap:
             # the same draw as sampling cands itself; sorted indices keep
-            # the points in candidate order
+            # the corners in order
             cands = [cands[i] for i in sorted(rng.sample(range(len(cands)), cap))]
         # checked after the sample is drawn, so the random stream stays put
         if not pk.admits(item, j):
@@ -474,11 +446,11 @@ def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
         bn = pk.bins[j]
         cover = bn.cover
         for p in cands:
-            x, y, z = p
+            z, y, x = p
             if cut and cz * (z + min_c) >= bound:
                 break
             count = cover[p]
-            if count or (count is None and bn.occupied(x, y, z)):
+            if count or (count is None and bn.occupied(p)):
                 continue
             # item_tail from the same per-orientation constants
             base = cz * z
@@ -499,12 +471,10 @@ def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
 
 
 def _move_reinsert(pk: _Packing, rng: random.Random, cap: int, different_bin: bool,
-                   items: Optional[Sequence[int]] = None) -> bool:
-    """items: every placed item, sorted; built from pk.pos when not given."""
-    if items is None:
-        items = sorted(pk.pos)
+                   items: Sequence[int]) -> bool:
+    """items: every placed item, sorted."""
     item = items[rng.randrange(len(items))]
-    o1, tail = pk.score()
+    o1, tail = pk.o1, pk.tail
     saved = pk.remove(item)
     old_bin = saved[0]
     bins = [j for j in range(len(pk.bins))
@@ -514,10 +484,10 @@ def _move_reinsert(pk: _Packing, rng: random.Random, cap: int, different_bin: bo
     bound = None if pk.o1 < o1 else tail - pk.tail
     best = _best_spot(pk, item, bins, rng, cap, bound)
     if best is None:
-        pk.restore(item, saved)
+        pk.place(item, *saved)
         return False
-    tail, j, k, dims, x, y, z = best
-    pk.place(item, j, k, dims, x, y, z, tail)
+    tail, j, k, (a, b, c), x, y, z = best
+    pk.place(item, j, (item, k, x, y, z, x + a, y + b, z + c), tail)
     return True
 
 
@@ -562,7 +532,7 @@ def _move_swap(pk: _Packing, rng: random.Random, items: Sequence[int]) -> bool:
 def _move_reorient(pk: _Packing, rng: random.Random, items: Sequence[int]) -> bool:
     item = items[rng.randrange(len(items))]
     ctx = pk.ctx
-    if len(ctx.orients[item]) < 2:
+    if len(ctx.shapes[item]) < 2:
         return False
     saved = pk.pos[item]
     j, (_, _, x, y, z, *_), old_tail = saved

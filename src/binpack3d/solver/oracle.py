@@ -57,7 +57,7 @@ def solve_oracle(instance: Instance, weights=(1, 1, 1)) -> SolveResult:
     has_com = instance.com_target is not None
 
     group = positive_groups(instance.affinities)
-    relpos, _ = relpos_masks(instance)
+    relpos = relpos_masks(instance)
 
     orients = [
         [(k, effective_dims(it, k)) for k in sorted(allowed_orientations(it))]

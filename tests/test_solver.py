@@ -46,6 +46,26 @@ def cubes(count, side=1, mu=1, categories=None):
                  for i in range(count))
 
 
+def can_place(pk, item, j, dims, x, y, z):
+    """The full check of a spot in bin j: in bounds, then admits, then fits."""
+    ctx = pk.ctx
+    if x + dims[0] > ctx.L or y + dims[1] > ctx.W or z + dims[2] > ctx.H:
+        return False
+    return pk.admits(item, j) and pk.fits(item, j, dims, x, y, z)
+
+
+def place_at(pk, item, j, k, dims, x, y, z):
+    """Place the item in orientation k (of dims dims) at (x, y, z) of bin j."""
+    shape = next(s for s in pk.ctx.shapes[item] if s[0] == k)
+    pk.place(item, j, (item, k, x, y, z, x + dims[0], y + dims[1], z + dims[2]),
+             pk.ctx.item_tail(shape, x, y, z))
+
+
+def points(bn):
+    """The bin's corners as (x, y, z), in their (z, y, x) order."""
+    return [(x, y, z) for z, y, x in bn.corners]
+
+
 def pin_cpus(monkeypatch, cpus):
     """Make run_backend see this many usable CPUs, so a solve of runs >= cpus
     spreads its runs over that many slots."""
@@ -121,8 +141,8 @@ class TestHeuristic:
         inst = Instance(items=cubes(2), bin=BinSpec(2, 2, 2, n=3))
         pk = _Packing(_Ctx(inst, (1, 1, 1)))
         pk.bins.extend(_Bin() for _ in range(3))
-        pk.place(0, 1, 1, (1, 1, 1), 1, 0, 0)
-        pk.place(1, 2, 1, (1, 1, 1), 0, 1, 0)
+        place_at(pk, 0, 1, 1, (1, 1, 1), 1, 0, 0)
+        place_at(pk, 1, 2, 1, (1, 1, 1), 0, 1, 0)
         sol = pk.to_solution()
         assert [(p.bin, p.x, p.y) for p in sol.placements] == [(1, 1, 0), (2, 2, 1)]
         assert check(inst, sol).feasible and objectives(inst, sol)[0] == 2
@@ -133,11 +153,11 @@ class TestHeuristic:
         inst = Instance(items=cubes(2), bin=BinSpec(2, 2, 2, n=2))
         pk = _Packing(_Ctx(inst, (1, 1, 1)))
         pk.bins.extend(_Bin() for _ in range(2))
-        pk.place(0, 0, 1, (1, 1, 1), 0, 0, 0)
-        pk.place(1, 1, 1, (1, 1, 1), 0, 0, 0)
-        _, tail = pk.score()
-        assert _move_reinsert(pk, random.Random(0), CANDIDATE_CAP, False)
-        assert pk.score() == (1, tail)
+        place_at(pk, 0, 0, 1, (1, 1, 1), 0, 0, 0)
+        place_at(pk, 1, 1, 1, (1, 1, 1), 0, 0, 0)
+        tail = pk.tail
+        assert _move_reinsert(pk, random.Random(0), CANDIDATE_CAP, False, sorted(pk.pos))
+        assert (pk.o1, pk.tail) == (1, tail)
 
 
 class TestRunDriver:
@@ -418,13 +438,43 @@ class TestCanPlace:
 
         pk = _Packing(_Ctx(inst, (1, 1, 1)))
         pk.bins.append(_Bin())
-        pk.place(first, 0, ks[first], dims[first], *corners[first])
-        got = pk.can_place(second, 0, dims[second], *corners[second])
+        place_at(pk, first, 0, ks[first], dims[first], *corners[first])
+        got = can_place(pk, second, 0, dims[second], *corners[second])
 
         sol = PackingSolution(tuple(Placement(item=i, bin=1, k=ks[i], x=corners[i][0],
                                               y=corners[i][1], z=corners[i][2])
                                     for i in range(2)))
         assert got == (check(inst, sol).feasible and respects_relpos(inst, sol))
+
+
+class TestConstruct:
+    def test_new_bin_at_origin_in_first_in_bounds_orientation(self):
+        """An item that the used bin does not admit (a negative affinity)
+        opens a new bin at the origin, in its first in-bounds orientation."""
+        items = (Item(0, 2, 2, 2, 1, 0), Item(1, 4, 2, 1, 1, 1))
+        inst = Instance(items=items, bin=BinSpec(2, 4, 4, n=2),
+                        affinities=Affinities(negative=frozenset({(0, 1)})))
+        ctx = _Ctx(inst, (1, 1, 1))
+        pk, failed = _construct(ctx, [0, 1])
+        assert failed is None and len(pk.bins) == 2
+        shape = next(s for s in ctx.shapes[1] if s[1][0] <= 2 and s[1][1] <= 4)
+        assert shape[0] != ctx.shapes[1][0][0]  # the first orientation is out of bounds
+        assert pk.pos[1] == (1, (1, shape[0], 0, 0, 0, *shape[1]),
+                             ctx.item_tail(shape, 0, 0, 0))
+
+    def test_group_bin_full(self):
+        """An item whose positive group already sits in a bin with no room
+        left fails, although n leaves bins free."""
+        items = (Item(0, 2, 2, 2, 1, 0), Item(1, 1, 1, 1, 1, 1))
+        inst = Instance(items=items, bin=BinSpec(2, 2, 2, n=3),
+                        affinities=Affinities(positive=frozenset({(0, 1)})))
+        assert _construct(_Ctx(inst, (1, 1, 1)), [0, 1]) == (None, 1)
+
+    def test_all_bins_open(self):
+        """Once n bins are open, an item that fits in none of them fails."""
+        items = (Item(0, 2, 2, 2, 1, 0), Item(1, 1, 1, 1, 1, 0))
+        inst = Instance(items=items, bin=BinSpec(2, 2, 2, n=1))
+        assert _construct(_Ctx(inst, (1, 1, 1)), [0, 1]) == (None, 1)
 
 
 def reference_candidates(bn):
@@ -455,9 +505,10 @@ def reference_best_spot(pk, item, bins, rng, cap):
         if len(cands) > cap:
             cands = sorted(rng.sample(cands, cap), key=lambda p: (p[2], p[1], p[0]))
         for (x, y, z) in cands:
-            for k, dims in ctx.orients[item]:
-                if pk.can_place(item, j, dims, x, y, z):
-                    tail = ctx.item_tail(item, x, y, z, dims)
+            for shape in ctx.shapes[item]:
+                k, dims = shape[:2]
+                if can_place(pk, item, j, dims, x, y, z):
+                    tail = ctx.item_tail(shape, x, y, z)
                     if best is None or tail < best[0]:
                         best = (tail, j, k, dims, x, y, z)
     return best
@@ -483,7 +534,7 @@ def reference_fits(inst, bn, item, dims, corner):
 
 
 def corner_steps(draw, relpos=False):
-    """Random place, remove and remove-then-restore steps on a few bins, with
+    """Random place, remove and remove-then-place-back steps on a few bins, with
     boxes on corner points or anywhere in bounds; overlaps are allowed, so a
     point can lie in several boxes. Yields (packing, instance, spot drawer)
     after every step; relpos adds avoid/favour triples."""
@@ -508,9 +559,9 @@ def corner_steps(draw, relpos=False):
 
     def spot(item, j):
         """(k, dims, corner) of an in-bounds box, on a corner point or anywhere."""
-        k, dims = draw(st.sampled_from([(k, d) for k, d in ctx.orients[item]
-                                        if all(x <= b for x, b in zip(d, bounds))]))
-        corners = [p for p in pk.candidates(j)
+        k, dims = draw(st.sampled_from([s[:2] for s in ctx.shapes[item]
+                                        if all(x <= b for x, b in zip(s[1], bounds))]))
+        corners = [p for p in points(pk.bins[j])
                    if all(c + d <= b for c, d, b in zip(p, dims, bounds))]
         if corners and draw(st.booleans()):
             return k, dims, draw(st.sampled_from(corners))
@@ -521,11 +572,11 @@ def corner_steps(draw, relpos=False):
         if item in pk.pos:
             saved = pk.remove(item)
             if draw(st.booleans()):
-                pk.restore(item, saved)
+                pk.place(item, *saved)
         else:
             j = draw(st.integers(0, n - 1))
             k, dims, (x, y, z) = spot(item, j)
-            pk.place(item, j, k, dims, x, y, z)
+            place_at(pk, item, j, k, dims, x, y, z)
         yield pk, inst, spot
 
 
@@ -536,10 +587,10 @@ class TestCornerIndex:
         """After every corner_steps step each bin's corner points and their
         occupancy equal the rebuild from its boxes."""
         for pk, _, _ in corner_steps(data.draw):
-            for j, bn in enumerate(pk.bins):
-                cands = pk.candidates(j)
+            for bn in pk.bins:
+                cands = points(bn)
                 assert cands == reference_candidates(bn)
-                assert [bn.occupied(*p) for p in cands] == \
+                assert [bn.occupied(p) for p in bn.corners] == \
                     [reference_occupied(bn, *p) for p in cands]
 
     @settings(max_examples=200, deadline=None)
@@ -549,11 +600,11 @@ class TestCornerIndex:
         a point's cover is first counted several steps after it appeared,
         and later steps adjust only counted points."""
         for pk, _, _ in corner_steps(data.draw):
-            for j, bn in enumerate(pk.bins):
-                cands = pk.candidates(j)
+            for bn in pk.bins:
+                cands = points(bn)
                 assert cands == reference_candidates(bn)
                 for p in data.draw(st.lists(st.sampled_from(cands), max_size=3)):
-                    assert bn.occupied(*p) == reference_occupied(bn, *p)
+                    assert bn.occupied(p[::-1]) == reference_occupied(bn, *p)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -584,14 +635,14 @@ class TestPackingCopy:
         pk, _ = _construct(ctx, [i for block in blocks for i in block] + singles)
 
         def state(p):
-            return ([(list(bn.boxes), list(bn.points), dict(bn.cover), dict(bn.refs),
+            return ([(list(bn.boxes), list(bn.corners), dict(bn.cover), dict(bn.refs),
                       dict(bn.cats), bn.load, bn.volume) for bn in p.bins],
                     dict(p.pos), {g: dict(locs) for g, locs in p.group_bin.items()}, p.tail)
 
         assert pk.group_bin
         for bn in pk.bins:  # count a few covers, so the copy starts with some
-            for p in bn.points[::3]:
-                bn.occupied(*p)
+            for p in bn.corners[::3]:
+                bn.occupied(p)
         before = state(pk)
         twin = pk.copy()
         assert state(twin) == before
@@ -648,13 +699,13 @@ class TestBestSpot:
         for item in range(m):  # dense corner placements, some anywhere
             for _ in range(8):
                 j = rnd.randrange(n)
-                k, dims = rnd.choice(ctx.orients[item])
+                k, dims = rnd.choice(ctx.shapes[item])[:2]
                 if rnd.random() < 0.8:
-                    x, y, z = rnd.choice(pk.candidates(j))
+                    z, y, x = rnd.choice(pk.bins[j].corners)
                 else:
                     x, y, z = (rnd.randrange(d) for d in (L, W, H))
-                if pk.can_place(item, j, dims, x, y, z):
-                    pk.place(item, j, k, dims, x, y, z)
+                if can_place(pk, item, j, dims, x, y, z):
+                    place_at(pk, item, j, k, dims, x, y, z)
                     break
         cap = draw(st.sampled_from((1, 3, 8, CANDIDATE_CAP)))
         seed = draw(st.integers(0, 2 ** 32))
@@ -669,7 +720,7 @@ class TestBestSpot:
             assert _best_spot(pk, item, bins, rng_new, cap, bound) == expected
             assert rng_new.getstate() == rng_ref.getstate()
             if saved:
-                pk.restore(item, saved)
+                pk.place(item, *saved)
 
 
     def test_exact_fill(self):
@@ -680,7 +731,7 @@ class TestBestSpot:
         pk.bins.append(_Bin())
         for item, (x, y, z) in enumerate(
                 [(x, y, z) for z in (0, 1) for y in (0, 1) for x in (0, 1)][:7]):
-            pk.place(item, 0, 1, (1, 1, 1), x, y, z)
+            place_at(pk, item, 0, 1, (1, 1, 1), x, y, z)
         spot = _best_spot(pk, 7, [0], random.Random(0), CANDIDATE_CAP)
         assert spot == reference_best_spot(pk, 7, [0], random.Random(0), CANDIDATE_CAP)
         assert spot[1:] == (0, 1, (1, 1, 1), 1, 1, 1)
@@ -690,7 +741,8 @@ def dense_packing(draw):
     """A random partial packing with weight caps, negative and positive
     affinities, avoid/favour triples, maybe a CoM target, and tail weights of
     either sign: each item is tried at up to eight random spots, most of them
-    corner points, and placed at the first one can_place admits."""
+    corner points, and placed at the first one can_place admits (bounds, then
+    admits, then fits)."""
     L, W, H = (draw(st.integers(3, 7)) for _ in range(3))
     n = draw(st.integers(1, 3))
     m = draw(st.integers(2, 30))
@@ -722,13 +774,13 @@ def dense_packing(draw):
     for item in range(m):
         for _ in range(8):
             j = rnd.randrange(n)
-            k, dims = rnd.choice(ctx.orients[item])
+            k, dims = rnd.choice(ctx.shapes[item])[:2]
             if rnd.random() < 0.8:
-                x, y, z = rnd.choice(pk.candidates(j))
+                z, y, x = rnd.choice(pk.bins[j].corners)
             else:
                 x, y, z = (rnd.randrange(d) for d in (L, W, H))
-            if pk.can_place(item, j, dims, x, y, z):
-                pk.place(item, j, k, dims, x, y, z)
+            if can_place(pk, item, j, dims, x, y, z):
+                place_at(pk, item, j, k, dims, x, y, z)
                 break
     return pk
 
@@ -739,7 +791,7 @@ def reference_swap(pk, rng, items):
     if len(items) < 2:
         return False
     i, o = rng.sample(items, 2)
-    before = pk.score()
+    before = (pk.o1, pk.tail)
     si = pk.remove(i)
     so = pk.remove(o)
     placed = []
@@ -750,33 +802,33 @@ def reference_swap(pk, rng, items):
             ok = False
             break
         _, k, dims = got
-        pk.place(item, j, k, dims, x, y, z)
+        place_at(pk, item, j, k, dims, x, y, z)
         placed.append(item)
-    if ok and pk.score() < before:
+    if ok and (pk.o1, pk.tail) < before:
         return True
     for item in reversed(placed):
         pk.remove(item)
-    pk.restore(i, si)
-    pk.restore(o, so)
+    pk.place(i, *si)
+    pk.place(o, *so)
     return False
 
 
 def reference_reorient(pk, rng, items):
     """The reorient as full remove/place calls, with no bound."""
     item = items[rng.randrange(len(items))]
-    if len(pk.ctx.orients[item]) < 2:
+    if len(pk.ctx.shapes[item]) < 2:
         return False
-    before = pk.score()
+    before = (pk.o1, pk.tail)
     saved = pk.remove(item)
     j, (_, _, x, y, z, *_), _ = saved
     best = pk.least_tail_at(item, j, x, y, z)
     if best is not None:
         _, k, dims = best
-        pk.place(item, j, k, dims, x, y, z)
-        if pk.score() < before:
+        place_at(pk, item, j, k, dims, x, y, z)
+        if (pk.o1, pk.tail) < before:
             return True
         pk.remove(item)
-    pk.restore(item, saved)
+    pk.place(item, *saved)
     return False
 
 
@@ -786,7 +838,7 @@ def bookkeeping(pk):
 
 
 def corner_index(pk):
-    return [(list(bn.keys), list(bn.points), dict(bn.refs), dict(bn.cover)) for bn in pk.bins]
+    return [(list(bn.corners), dict(bn.refs), dict(bn.cover)) for bn in pk.bins]
 
 
 class TestTrialMoves:
@@ -813,10 +865,10 @@ class TestTrialMoves:
             assert got == want
             assert bookkeeping(pk) == bookkeeping(twin)
             assert rng.getstate() == rng_ref.getstate()
-            for j, bn in enumerate(pk.bins):
-                cands = pk.candidates(j)
+            for bn in pk.bins:
+                cands = points(bn)
                 assert cands == reference_candidates(bn)
-                assert [bn.occupied(*p) for p in cands] == \
+                assert [bn.occupied(p) for p in bn.corners] == \
                     [reference_occupied(bn, *p) for p in cands]
                 assert bn.blocker is None or bn.blocker in bn.boxes
 
@@ -854,9 +906,9 @@ class TestTrialMoves:
         items = tuple(Item(index=i, l=2, w=1, h=1, mu=1, category=0) for i in range(2))
         pk = _Packing(_Ctx(Instance(items=items, bin=BinSpec(4, 4, 4, n=1)), (1, 1, 1)))
         pk.bins.append(_Bin())
-        pk.place(0, 0, 1, (2, 1, 1), 0, 0, 0)
-        pk.place(1, 0, 1, (2, 1, 1), 0, 1, 0)
-        assert all(min(d[2] for _, d in pk.ctx.orients[i]) == 1 for i in range(2))
+        place_at(pk, 0, 0, 1, (2, 1, 1), 0, 0, 0)
+        place_at(pk, 1, 0, 1, (2, 1, 1), 0, 1, 0)
+        assert all(min(s[1][2] for s in pk.ctx.shapes[i]) == 1 for i in range(2))
         lifted = []
         monkeypatch.setattr(_Packing, "lift", lambda self, item: lifted.append(item))
         before = bookkeeping(pk), corner_index(pk)
