@@ -23,11 +23,9 @@ from .lp import export_lp, lp_string
 from .model import (
     Assignment,
     Constraint,
-    ModelBuildError,
     ModelCounts,
     QuadExpr,
     QuadraticModel,
-    ReductionInfo,
     Sense,
     VariableRef,
     audit_counts,

@@ -13,9 +13,10 @@ from pathlib import Path
 
 from . import datagen, fileio
 from .lp import export_lp
-from .model import ModelBuildError, audit_counts, build_model, count_model
+from .model import audit_counts, build_model, count_model
 from .render import render_to_file
 from .solver import OracleCapError, SolverConfig, run_stats, solve
+from .solver.config import BACKENDS
 from .validate import check
 
 
@@ -175,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--backend", choices=("heuristic", "annealer", "oracle"),
-                   default="heuristic")
+    p.add_argument("--backend", choices=BACKENDS, default="heuristic")
     p.add_argument("--time-limit", type=float, default=5.0)
     p.add_argument("--iterations", type=int, default=None,
                    help="iteration-count mode: deterministic, ignores the clock")
@@ -211,9 +211,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except OracleCapError as exc:
         print(f"oracle refused: {exc}", file=sys.stderr)
-        return 2
-    except ModelBuildError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

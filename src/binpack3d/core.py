@@ -10,6 +10,7 @@ separations left/behind/below/right/front/above.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -138,6 +139,11 @@ class Instance:
     mu_i/mu_k > eta are derived from the weights and merged into
     relpos_avoid, so a heavier item can never rest above one lighter by more
     than the ratio eta.
+
+    The model gives each pair six one-hot position binaries: a favour fixes
+    one to 1 and an avoid fixes one to 0. So a pair favoured in two
+    positions, one with all six avoided (the eta triples counted) and one
+    both avoided and favoured are refused with a ValueError.
     """
 
     items: tuple[Item, ...]
@@ -195,11 +201,18 @@ class Instance:
                 raise ValueError(f"relpos triple {tri}: need 0 <= i < k < m")
             if q not in RELPOS:
                 raise ValueError(f"relpos triple {tri}: q must be in 1..6")
-        avoid_pairs = {(i, k) for i, k, _ in avoid}
-        favour_pairs = {(i, k) for i, k, _ in favour}
-        clash = avoid_pairs & favour_pairs
+        avoid_pairs = Counter((i, k) for i, k, _ in avoid)
+        favour_pairs = Counter((i, k) for i, k, _ in favour)
+        clash = avoid_pairs.keys() & favour_pairs.keys()
         if clash:
             raise ValueError(f"pairs in both avoid and favour sets: {sorted(clash)}")
+        if favour_pairs and max(favour_pairs.values()) > 1:
+            pair = min(p for p, count in favour_pairs.items() if count > 1)
+            raise ValueError(f"pair {pair} is favoured in {favour_pairs[pair]} "
+                             "relative positions")
+        if avoid_pairs and max(avoid_pairs.values()) == len(RELPOS):
+            pair = min(p for p, count in avoid_pairs.items() if count == len(RELPOS))
+            raise ValueError(f"pair {pair} has all six relative positions avoided")
         object.__setattr__(self, "relpos_avoid", frozenset(avoid))
         object.__setattr__(self, "relpos_favour", favour)
 
@@ -232,9 +245,13 @@ def load_bearing_avoid(items: Iterable[Item], eta: Rational) -> set[tuple[int, i
     return out
 
 
-def positive_groups(affinities: Affinities) -> dict[int, int]:
+def positive_groups(affinities: Affinities, present: Iterable[int]) -> dict[int, int]:
     """Category -> representative of its positive-affinity component, for
-    every category in a positive pair; one component must share one bin."""
+    every category in a positive pair of two present categories; one
+    component must share one bin. A pair with an absent category binds no
+    item, so it joins nothing: [[1, 2], [2, 3]] without a category-2 item
+    leaves 1 and 3 free to use different bins."""
+    present = frozenset(present)
     parent: dict[int, int] = {}
 
     def find(c: int) -> int:
@@ -245,6 +262,8 @@ def positive_groups(affinities: Affinities) -> dict[int, int]:
         return c
 
     for a, b in sorted(affinities.positive):
+        if a not in present or b not in present:
+            continue
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb

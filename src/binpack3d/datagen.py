@@ -99,7 +99,7 @@ def _sample_affinities(rng: random.Random, present: list[int],
         attempts += 1
         idx = rng.randrange(len(pool))
         a, b = pool[idx]
-        group = positive_groups(Affinities(positive=frozenset(pos + [(a, b)])))
+        group = positive_groups(Affinities(positive=frozenset(pos + [(a, b)])), present)
         if any(group.get(x, x) == group.get(y, y) for x, y in neg):
             continue
         pool.pop(idx)

@@ -47,14 +47,11 @@ from .core import (
     effective_dims,
     kappa,
     nonredundant_orientations,
+    relpos_masks,
     separation_mask,
 )
 
 Number = Union[int, Fraction]
-
-
-class ModelBuildError(ValueError):
-    """The instance is infeasible by construction (detected while building)."""
 
 
 class Sense(enum.Enum):
@@ -130,20 +127,6 @@ class _Terms:
                         scaled(self.constant), scale), scaled(rhs)
 
 
-@dataclass(frozen=True)
-class ReductionInfo:
-    """Census of what the reductions removed, kept separate by source."""
-
-    p_minus: int = 0
-    p_plus: int = 0
-    relpos_vars_eliminated: int = 0
-    nonoverlap_presatisfied_relpos: int = 0
-    affinity_pairs_eliminated: int = 0
-    affinity_vars_eliminated: int = 0
-    nonoverlap_presatisfied_affinity: int = 0
-    relpos_unique_dropped: int = 0
-
-
 @dataclass
 class VariableIndex:
     """Variable ids by family, filled as build_model adds the variables:
@@ -169,7 +152,6 @@ class QuadraticModel:
     objective_terms: dict[str, QuadExpr]
     constraints: list[Constraint]
     weights: tuple[Fraction, Fraction, Fraction]
-    reductions: ReductionInfo
     m: int
     n: int
     index: VariableIndex = field(default_factory=VariableIndex)
@@ -270,13 +252,8 @@ def _plan(instance: Instance, reductions: bool) -> _Plan:
     neg_item_pairs = _category_item_pairs(instance, instance.affinities.negative)
     pos_item_pairs = _category_item_pairs(instance, instance.affinities.positive)
 
-    favour_raw: dict[tuple[int, int], int] = {}
-    for i, k, q in sorted(instance.relpos_favour):
-        pair = (i, k)
-        if pair in favour_raw and favour_raw[pair] != q:
-            raise ModelBuildError(
-                f"pair {pair} favoured in two positions ({favour_raw[pair]} and {q})")
-        favour_raw[pair] = q
+    # Instance admits at most one favoured position per pair
+    favour_raw = {(i, k): q for i, k, q in instance.relpos_favour}
     avoid_raw: dict[tuple[int, int], set[int]] = {}
     for i, k, q in sorted(instance.relpos_avoid):
         avoid_raw.setdefault((i, k), set()).add(q)
@@ -305,9 +282,6 @@ def _plan(instance: Instance, reductions: bool) -> _Plan:
     for (i, k), qs in avoid_eff.items():
         for q in qs:
             fixed_b[(i, k, q)] = 0
-        if len(qs) == 6:
-            raise ModelBuildError(
-                f"pair ({i}, {k}) has all six relative positions avoided")
 
     return _Plan(n, m, eliminated, favour_eff, avoid_eff, fixed_b, (),
                  tuple(neg_item_pairs), tuple(pos_item_pairs))
@@ -327,8 +301,7 @@ def _big_m(q: int, instance: Instance) -> int:
 def build_model(instance: Instance,
                 weights: tuple[Number, Number, Number] = (1, 1, 1),
                 *, reductions: bool = True) -> QuadraticModel:
-    """Compile the instance. Raises ModelBuildError when the relative-position
-    preferences are contradictory."""
+    """Compile the instance."""
     plan = _plan(instance, reductions)
     n, m = plan.n, plan.m
     L, W, H = instance.bin.L, instance.bin.W, instance.bin.H
@@ -548,27 +521,12 @@ def build_model(instance: Instance,
             terms.add_linear(idx.b[(i, k)][q], 1)
             add_constraint(f"relpos_fix_{i}_{k}_{q}", terms, Sense.EQ, val)
 
-    p_minus = sum(len(qs) for qs in plan.avoid_qs.values())
-    p_plus = len(plan.favour_q)
-    negelim = len(plan.eliminated_pairs)
-    info = ReductionInfo(
-        p_minus=p_minus,
-        p_plus=p_plus,
-        relpos_vars_eliminated=p_minus + 6 * p_plus,
-        nonoverlap_presatisfied_relpos=n * (p_minus + 5 * p_plus),
-        affinity_pairs_eliminated=negelim,
-        affinity_vars_eliminated=6 * negelim,
-        nonoverlap_presatisfied_affinity=6 * n * negelim,
-        relpos_unique_dropped=p_plus + negelim,
-    ) if reductions else ReductionInfo()
-
     return QuadraticModel(
         variables=variables,
         objective=objective.compile()[0],
         objective_terms={name: t.compile()[0] for name, t in term_sums.items()},
         constraints=constraints,
         weights=(w1, w2, w3),
-        reductions=info,
         m=m,
         n=n,
         index=idx,
@@ -613,9 +571,7 @@ def count_model(instance: Instance, *, reductions: bool = True) -> ModelCounts:
 
     if not reductions:
         # explicit fix rows instead of eliminations
-        raw_minus = sum(1 for _ in instance.relpos_avoid)
-        raw_plus = len({(i, k) for i, k, _ in instance.relpos_favour})
-        lin_opt += raw_minus + 6 * raw_plus
+        lin_opt += len(instance.relpos_avoid) + 6 * len(instance.relpos_favour)
 
     return ModelCounts(binary_mand, binary_opt, cont_mand, cont_opt,
                        quad_mand, quad_opt, lin_mand, lin_opt)
@@ -707,21 +663,20 @@ def _value(expr: QuadExpr, nums: Sequence[int], d: int) -> Fraction:
     return Fraction(_scaled_value(expr, nums, d), d * d * expr.scale)
 
 
-def evaluate(model: QuadraticModel, assignment: Assignment, *,
-             check_bounds: bool = True
+def evaluate(model: QuadraticModel, assignment: Assignment
              ) -> tuple[Fraction, list[tuple[str, Fraction]]]:
-    """Exact objective value and all violated constraints with magnitudes."""
+    """Exact objective value and all violated bounds and constraints with
+    magnitudes."""
     values, nums, d = _values_vector(model, assignment)
     violations: list[tuple[str, Fraction]] = []
-    if check_bounds:
-        for var, val in zip(model.variables, values):
-            if var.binary and val not in (0, 1):
-                excess = max(var.lower - val, val - var.upper, min(abs(val), abs(val - 1)))
-            elif var.lower <= val <= var.upper:
-                continue
-            else:
-                excess = max(var.lower - val, val - var.upper)
-            violations.append((f"bound_{var.tag}", excess))
+    for var, val in zip(model.variables, values):
+        if var.binary and val not in (0, 1):
+            excess = max(var.lower - val, val - var.upper, min(abs(val), abs(val - 1)))
+        elif var.lower <= val <= var.upper:
+            continue
+        else:
+            excess = max(var.lower - val, val - var.upper)
+        violations.append((f"bound_{var.tag}", excess))
     for con, gap in zip(model.constraints, _row_gaps(model, nums, d)):
         if gap:
             violations.append((con.label, Fraction(gap, d * d * model.row_scale)))
@@ -778,36 +733,27 @@ def encode_solution(instance: Instance, solution: PackingSolution, *,
         out[f"y_{i}"] = Fraction(p.y)
         out[f"z_{i}"] = Fraction(p.z)
 
-    def valid_qs(i: int, k: int) -> tuple[int, ...]:
-        pi, pk = by_item[i], by_item[k]
-        if pi.bin != pk.bin:
-            return RELPOS
-        mask = separation_mask(pi.corner, dims[i], pk.corner, dims[k])
-        return tuple(q for q in RELPOS if mask >> q & 1)
-
-    # the relative-position choice follows the preference fixings in both
-    # variants (avoided positions are never chosen while an alternative is
-    # valid; favoured pairs always take their position), so an assignment is
-    # violation-free in the reduced model iff it is in the explicit-row one
-    choice_plan = plan if reductions else _plan(instance, True)
+    # the relative-position choice follows the avoid and favour triples in
+    # both variants, eliminated pairs included (a favoured pair takes its
+    # position; an avoided one is taken only when no other is valid), so an
+    # assignment is violation-free in the reduced model iff it is in the
+    # explicit-row one
+    every = sum(1 << q for q in RELPOS)
+    relpos = relpos_masks(instance)
     for i in range(m):
         for k in range(i + 1, m):
             pair = (i, k)
-            emit = plan.b_free(pair) if reductions else tuple(range(1, 7))
+            emit = plan.b_free(pair) if reductions else RELPOS
             if not emit:
                 continue
-            valid = valid_qs(i, k)
+            pi, pk = by_item[i], by_item[k]
+            valid = (every if pi.bin != pk.bin
+                     else separation_mask(pi.corner, dims[i], pk.corner, dims[k]))
             if not valid:
-                raise ValueError(f"items {i} and {k} overlap in bin {by_item[i].bin}")
-            if pair in choice_plan.favour_q:
-                chosen = choice_plan.favour_q[pair]
-            else:
-                if pair in choice_plan.eliminated_pairs:
-                    selectable = tuple(range(1, 7))
-                else:
-                    selectable = choice_plan.b_free(pair)
-                pick = [q for q in valid if q in selectable]
-                chosen = pick[0] if pick else selectable[0]
+                raise ValueError(f"items {i} and {k} overlap in bin {pi.bin}")
+            allowed, required = relpos.get(pair, (every, 0))
+            pick = required or valid & allowed or allowed
+            chosen = (pick & -pick).bit_length() - 1  # the lowest q in pick
             for q in emit:
                 out[f"b_{i}_{k}_{q}"] = Fraction(1 if q == chosen else 0)
 

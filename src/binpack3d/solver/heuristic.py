@@ -59,7 +59,7 @@ class _Ctx:
         self.cat = {it.index: it.category for it in instance.items}
         self.neg = instance.affinities.negative
         # categories joined by positive affinities must share one bin
-        self.group = positive_groups(instance.affinities)
+        self.group = positive_groups(instance.affinities, self.cat.values())
         # item -> {other: (allowed, required)} for separation_mask(item's box,
         # other's box); the (i, k) table over i < k, mirrored for k's side
         self.rules: dict[int, dict[int, tuple[int, int]]] = {}

@@ -56,7 +56,7 @@ def solve_oracle(instance: Instance, weights=(1, 1, 1)) -> SolveResult:
     neg = instance.affinities.negative
     has_com = instance.com_target is not None
 
-    group = positive_groups(instance.affinities)
+    group = positive_groups(instance.affinities, cat)
     relpos = relpos_masks(instance)
 
     orients = [

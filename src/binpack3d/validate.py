@@ -27,6 +27,7 @@ OVERWEIGHT = "Overweight"
 NEGATIVE_AFFINITY = "NegativeAffinity"
 POSITIVE_AFFINITY = "PositiveAffinity"
 LOAD_BEARING = "LoadBearing"
+RELATIVE_POSITION = "RelativePosition"
 BAD_ORIENTATION = "BadOrientation"
 
 RULES = (
@@ -38,6 +39,7 @@ RULES = (
     NEGATIVE_AFFINITY,
     POSITIVE_AFFINITY,
     LOAD_BEARING,
+    RELATIVE_POSITION,
     BAD_ORIENTATION,
 )
 
@@ -194,7 +196,37 @@ def check(instance: Instance, solution: PackingSolution) -> ViolationReport:
                     i, k = pa.item, pb.item
                     out.append(Violation(LOAD_BEARING, (i, k), ratio - eta))
 
+    if instance.relpos_avoid or instance.relpos_favour:
+        out.extend(_relative_positions(instance, boxes))
+
     return ViolationReport(tuple(out))
+
+
+def _relative_positions(instance: Instance,
+                        boxes: list[tuple[Placement, tuple[int, ...]]]) -> list[Violation]:
+    """A RelativePosition violation for each same-bin pair that does not
+    overlap and holds none of the positions its avoid and favour triples
+    allow. Bit q of a mask stands for relative position q of item i to item
+    k (1..3: i left of, behind, below k; 4..6: right of, in front of,
+    above), as in the model's b_{i,k,q}."""
+    allowed: dict[tuple[int, int], int] = {}
+    for i, k, q in instance.relpos_avoid:
+        # 0b1111110: bits 1..6, every position, less those avoided
+        allowed[i, k] = allowed.get((i, k), 0b1111110) & ~(1 << q)
+    for i, k, q in instance.relpos_favour:
+        allowed[i, k] = 1 << q
+    box_of = {p.item: (p.bin, box) for p, box in boxes}
+    bad = []
+    for (i, k), mask in allowed.items():
+        (bin_i, a), (bin_k, b) = box_of[i], box_of[k]
+        if bin_i != bin_k:
+            continue
+        held = ((a[3] <= b[0]) << 1 | (a[4] <= b[1]) << 2 | (a[5] <= b[2]) << 3
+                | (b[3] <= a[0]) << 4 | (b[4] <= a[1]) << 5 | (b[5] <= a[2]) << 6)
+        # held == 0: the boxes overlap, which is reported as Overlap
+        if held and not held & mask:
+            bad.append((i, k))
+    return [Violation(RELATIVE_POSITION, pair, Fraction(1)) for pair in sorted(bad)]
 
 
 def objectives(instance: Instance, solution: PackingSolution

@@ -18,9 +18,10 @@ from binpack3d import (
     Placement,
     allowed_orientations,
     effective_dims,
+    load_bearing_avoid,
 )
 from binpack3d.model import QuadExpr, QuadraticModel, Sense
-from binpack3d.validate import check
+from binpack3d.validate import RELATIVE_POSITION, check
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -83,7 +84,6 @@ def random_instance(rng: random.Random, features: Iterable[str] = (),
                 avoid.add((*pair, q))
     if eta is not None:
         # derived avoid triples may not collide with favoured pairs
-        from binpack3d import load_bearing_avoid
         derived_pairs = {(i, k) for i, k, _ in load_bearing_avoid(items, eta)}
         favour = {t for t in favour if (t[0], t[1]) not in derived_pairs}
 
@@ -100,9 +100,10 @@ def random_instance(rng: random.Random, features: Iterable[str] = (),
 
 def solvable_instance(rng: random.Random, features: Iterable[str] = (),
                       m: Optional[int] = None) -> Instance:
-    """Small instance that the heuristic can pack: loose bins, n >= 2, and
-    relative-position sets derived from eta only (so the model's hard
-    constraints and the validator's geometric checks coincide)."""
+    """Small instance that the heuristic can pack: loose bins and n >= 2.
+    With "avoid" or "favour", up to two pairs avoid one to three positions
+    and up to two other pairs each favour one position, none of them a pair
+    with eta-derived triples."""
     features = set(features)
     m = m if m is not None else rng.randint(3, 7)
     L, W, H = (rng.randint(6, 8) for _ in range(3))
@@ -130,12 +131,25 @@ def solvable_instance(rng: random.Random, features: Iterable[str] = (),
         max_weight = max(max(it.mu for it in items) + 2, (total * 2) // 3)
     eta = Fraction(2) if "eta" in features else None
     com = (Fraction(L, 2), Fraction(W, 2)) if "com" in features else None
+    avoid: set[tuple[int, int, int]] = set()
+    favour: set[tuple[int, int, int]] = set()
+    if "avoid" in features or "favour" in features:
+        taken = {(i, k) for i, k, _ in load_bearing_avoid(items, eta)} if eta else set()
+        free = [(i, k) for i in range(m) for k in range(i + 1, m) if (i, k) not in taken]
+        rng.shuffle(free)
+        if "favour" in features:
+            favour = {(i, k, rng.randint(1, 6)) for i, k in free[:2]}
+        if "avoid" in features:
+            avoid = {(i, k, q) for i, k in free[2:4]
+                     for q in rng.sample(range(1, 7), rng.randint(1, 3))}
     return Instance(
         items=items,
         bin=BinSpec(L=L, W=W, H=H, max_weight=max_weight, n=n),
         affinities=Affinities(positive=pos, negative=neg),
         eta=eta,
         com_target=com,
+        relpos_avoid=frozenset(avoid),
+        relpos_favour=frozenset(favour),
     )
 
 
@@ -169,45 +183,9 @@ def oracle_instance(rng: random.Random, with_features: bool = True) -> Instance:
                     eta=eta)
 
 
-def respects_relpos(instance: Instance, solution: PackingSolution) -> bool:
-    """Whether a geometrically feasible packing also satisfies the avoid and
-    favour hard constraints (the validator checks only their load-bearing
-    consequence, so model-side tests filter with this)."""
-    by_item = {p.item: p for p in solution.placements}
-    dims = {p.item: effective_dims(instance.items[p.item], p.k)
-            for p in solution.placements}
-    avoid: dict[tuple[int, int], set[int]] = {}
-    for i, k, q in instance.relpos_avoid:
-        avoid.setdefault((i, k), set()).add(q)
-    favour = {(i, k): q for i, k, q in instance.relpos_favour}
-    for pair in set(avoid) | set(favour):
-        i, k = pair
-        pi, pk = by_item[i], by_item[k]
-        if pi.bin != pk.bin:
-            continue
-        di, dk = dims[i], dims[k]
-        valid = set()
-        if pi.x + di[0] <= pk.x:
-            valid.add(1)
-        if pi.y + di[1] <= pk.y:
-            valid.add(2)
-        if pi.z + di[2] <= pk.z:
-            valid.add(3)
-        if pk.x + dk[0] <= pi.x:
-            valid.add(4)
-        if pk.y + dk[1] <= pi.y:
-            valid.add(5)
-        if pk.z + dk[2] <= pi.z:
-            valid.add(6)
-        if pair in favour and favour[pair] not in valid:
-            return False
-        if pair in avoid and not (valid - avoid[pair]):
-            return False
-    return True
-
-
 def enumerate_feasible(instance: Instance) -> list[PackingSolution]:
-    """Every validator-feasible packing, by raw product enumeration.
+    """Every packing the validator accepts, its RelativePosition rule aside,
+    by raw product enumeration.
 
     Deliberately brute force (no pruning shared with any solver); only usable
     for very small instances.
@@ -228,12 +206,12 @@ def enumerate_feasible(instance: Instance) -> list[PackingSolution]:
     out = []
     for combo in itertools.product(*options):
         sol = PackingSolution(tuple(combo))
-        if check(instance, sol).feasible:
+        if all(v.rule == RELATIVE_POSITION for v in check(instance, sol).violations):
             out.append(sol)
     return out
 
 
-def reference_evaluate(model: QuadraticModel, assignment, *, check_bounds: bool = True
+def reference_evaluate(model: QuadraticModel, assignment
                        ) -> tuple[Fraction, list[tuple[str, Fraction]], dict[str, Fraction]]:
     """The objective, the violation list and the objective breakdown, summed
     term by term in Fractions: the evaluator the model's integer kernel
@@ -249,14 +227,13 @@ def reference_evaluate(model: QuadraticModel, assignment, *, check_bounds: bool 
         return total
 
     violations: list[tuple[str, Fraction]] = []
-    if check_bounds:
-        for var in model.variables:
-            val = values[var.id]
-            excess = max(var.lower - val, val - var.upper, Fraction(0))
-            if var.binary and val not in (0, 1):
-                excess = max(excess, min(abs(val), abs(val - 1)))
-            if excess > 0:
-                violations.append((f"bound_{var.tag}", excess))
+    for var in model.variables:
+        val = values[var.id]
+        excess = max(var.lower - val, val - var.upper, Fraction(0))
+        if var.binary and val not in (0, 1):
+            excess = max(excess, min(abs(val), abs(val - 1)))
+        if excess > 0:
+            violations.append((f"bound_{var.tag}", excess))
     for con in model.constraints:
         lhs, rhs = value(con.expr), Fraction(con.rhs, con.expr.scale)
         if con.sense is Sense.LE:

@@ -44,7 +44,7 @@ from binpack3d.fileio import (
     solution_to_dict,
     _dump,
 )
-from binpack3d.validate import LOAD_BEARING, check, objectives
+from binpack3d.validate import LOAD_BEARING, RELATIVE_POSITION, check, objectives
 
 from helpers import FEATURES, oracle_instance, random_instance, solvable_instance
 
@@ -312,18 +312,27 @@ def test_criterion_7_reduction_soundness():
         reduced = build_model(inst)
         unreduced = build_model(inst, reductions=False)
 
-        # eliminated-variable and pre-satisfied-constraint counts, exactly
+        # eliminated-variable and pre-satisfied-constraint counts, exactly:
+        # the closed forms of the reduced instance against the same instance
+        # without its triples (relative positions) and against the
+        # unreduced model (negative affinity); with n = 2 every non-overlap
+        # row is quadratic
         p_minus = len(inst.relpos_avoid)
         p_plus = len({(i, k) for i, k, _ in inst.relpos_favour})
-        info = reduced.reductions
-        assert info.relpos_vars_eliminated == p_minus + 6 * p_plus
         neg_pairs = sum(
             len(inst.items_of_category(a)) * len(inst.items_of_category(b))
             for a, b in inst.affinities.negative)
         nu = 6 * inst.bin.n * neg_pairs
-        assert info.nonoverlap_presatisfied_affinity == nu
-        assert (info.nonoverlap_presatisfied_relpos
+        counts = count_model(inst)
+        no_triples = count_model(replace(inst, relpos_avoid=frozenset(),
+                                         relpos_favour=frozenset()))
+        assert no_triples.binary - counts.binary == p_minus + 6 * p_plus
+        assert (no_triples.quadratic_constraints - counts.quadratic_constraints
                 == inst.bin.n * (p_minus + 5 * p_plus))
+        unreduced_counts = count_model(inst, reductions=False)
+        assert unreduced_counts.binary - no_triples.binary == 6 * neg_pairs
+        assert (unreduced_counts.quadratic_constraints - no_triples.quadratic_constraints
+                == nu)
 
         def nonoverlap_rows(model):
             return sum(1 for c in model.constraints if c.label.startswith("nonoverlap"))
@@ -337,14 +346,12 @@ def test_criterion_7_reduction_soundness():
         # identical zero-violation sets across variants, which is exactly the
         # geometrically feasible packings that respect the avoid/favour sets;
         # hence identical optimal o1
-        from helpers import respects_relpos
-
         geometric = enumerate_feasible(inst)
         assert geometric, "test instance must admit feasible packings"
         best_o1 = {True: None, False: None}
         kept = 0
         for sol in geometric:
-            ok = respects_relpos(inst, sol)
+            ok = not check(inst, sol).by_rule(RELATIVE_POSITION)
             kept += ok
             for reductions_on in (True, False):
                 model = reduced if reductions_on else unreduced

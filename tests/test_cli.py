@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from binpack3d.cli import main
 from binpack3d.solver import SolverConfig
+from binpack3d.solver.config import BACKENDS
 from binpack3d.fileio import (
     instance_to_dict,
     load_instance,
@@ -213,14 +214,24 @@ class TestMalformedInstance:
         # without n the default bin count would compute with L
         (("bin",), {"L": "2", "W": 1, "H": 2}, "bin L must be an integer, got '2'"),
         (("items", 0), 7, "items[0] must be an object, got 7"),
+        # two unit cubes, the pair favoured in two positions
+        ((), {"bin": {"L": 2, "W": 1, "H": 2, "n": 1},
+              "items": [{"id": i, "l": 1, "w": 1, "h": 1, "mu": 1, "category": 0}
+                        for i in range(2)],
+              "affinities": {"positive": [], "negative": []},
+              "relpos": {"avoid": [], "favour": [[0, 1, 1], [0, 1, 3]]}},
+         "pair (0, 1) is favoured in 2 relative positions"),
     ])
     def test_solve_exits_2_with_message(self, capsys, tiny_instance, path, value, message):
+        """build and solve with each backend refuse the file the same way."""
         doc = with_node(json.loads(tiny_instance.read_text()), path, value)
         tiny_instance.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "solve", "--instance", str(tiny_instance),
-                           "--iterations", "5")
-        assert code == 2
-        assert message in err
+        commands = [["build"]] + [["solve", "--iterations", "5", "--backend", backend]
+                                  for backend in BACKENDS]
+        for command in commands:
+            code, _, err = run(capsys, *command, "--instance", str(tiny_instance))
+            assert code == 2, command
+            assert message in err and "Traceback" not in err, command
 
 
 class TestMalformedSolution:

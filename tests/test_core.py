@@ -145,6 +145,27 @@ class TestInstanceValidation:
                      relpos_avoid=frozenset({(0, 1, 3)}),
                      relpos_favour=frozenset({(0, 1, 1)}))
 
+    def test_contradictory_favour_raises(self):
+        items = (Item(0, 1, 1, 2, 1, 0), Item(1, 2, 1, 1, 1, 1))
+        with pytest.raises(ValueError, match=r"pair \(0, 1\) is favoured in 2 relative"):
+            Instance(items=items, bin=BinSpec(4, 4, 4, n=1),
+                     relpos_favour=frozenset({(0, 1, 1), (0, 1, 2)}))
+
+    def test_all_six_avoided_raises(self):
+        items = (Item(0, 1, 1, 2, 1, 0), Item(1, 2, 1, 1, 1, 1))
+        with pytest.raises(ValueError, match=r"pair \(0, 1\) has all six"):
+            Instance(items=items, bin=BinSpec(4, 4, 4, n=1),
+                     relpos_avoid=frozenset((0, 1, q) for q in range(1, 7)))
+
+    def test_all_six_avoided_counts_eta_triples(self):
+        """Five explicit avoids and the eta-derived (0, 1, 3) cover all six."""
+        items = (make_item(1, 1, 1, mu=1), Item(1, 1, 1, 1, mu=5))
+        five = frozenset((0, 1, q) for q in (1, 2, 4, 5, 6))
+        Instance(items=items, bin=BinSpec(4, 4, 4, n=1), relpos_avoid=five)
+        with pytest.raises(ValueError, match=r"pair \(0, 1\) has all six"):
+            Instance(items=items, bin=BinSpec(4, 4, 4, n=1), relpos_avoid=five,
+                     eta=Fraction(2))
+
     def test_eta_derives_avoid_triples(self):
         items = (make_item(1, 1, 1, mu=2), Item(1, 1, 1, 1, mu=10))
         inst = Instance(items=items, bin=BinSpec(4, 4, 4, n=1), eta=Fraction(2))

@@ -10,14 +10,15 @@ from binpack3d import (
     BinSpec,
     Instance,
     Item,
-    ModelBuildError,
     PackingSolution,
     Placement,
     Sense,
     SolverConfig,
+    allowed_orientations,
     audit_counts,
     build_model,
     count_model,
+    effective_dims,
     encode_solution,
     evaluate,
     objective_breakdown,
@@ -128,48 +129,47 @@ class TestBuildStructure:
         assert con.sense is Sense.EQ
         assert con.expr.is_quadratic
 
-    def test_contradictory_favour_raises(self):
-        items = (Item(0, 1, 1, 2, 1, 0), Item(1, 2, 1, 1, 1, 1))
-        inst = Instance(items=items, bin=BinSpec(4, 4, 4, n=1),
-                        relpos_favour=frozenset({(0, 1, 1), (0, 1, 2)}))
-        with pytest.raises(ModelBuildError, match="favoured in two positions"):
-            build_model(inst)
 
-    def test_all_six_avoided_raises(self):
-        items = (Item(0, 1, 1, 2, 1, 0), Item(1, 2, 1, 1, 1, 1))
-        inst = Instance(items=items, bin=BinSpec(4, 4, 4, n=1),
-                        relpos_avoid=frozenset((0, 1, q) for q in range(1, 7)))
-        with pytest.raises(ModelBuildError, match="all six"):
-            build_model(inst)
+def census(model) -> tuple[int, int]:
+    """(b variables, non-overlap rows) of a built model."""
+    return (sum(1 for v in model.variables if v.tag.startswith("b_")),
+            sum(1 for c in model.constraints if c.label.startswith("nonoverlap")))
 
 
 class TestReductionProvenance:
+    """What the reductions remove, read two ways: the closed-form counts of
+    the unreduced model minus those of the reduced one, and the census of
+    the two built models."""
+
     def test_relpos_formulas(self):
+        """p- = 3 avoid triples and p+ = 1 favoured pair, n = 2: p- + 6p+
+        binaries and n(p- + 5p+) non-overlap rows go, and the favoured
+        pair's uniqueness row."""
         items = tuple(Item(index=i, l=1 + i % 2, w=1, h=2, mu=1, category=0)
                       for i in range(4))
-        inst = Instance(items=items, bin=BinSpec(6, 6, 6, n=2),
-                        relpos_avoid=frozenset({(0, 1, 3), (0, 2, 3), (0, 2, 6)}),
-                        relpos_favour=frozenset({(1, 3, 1)}))
-        model = build_model(inst)
-        info = model.reductions
-        assert info.p_minus == 3
-        assert info.p_plus == 1
-        assert info.relpos_vars_eliminated == 3 + 6 * 1
-        assert info.nonoverlap_presatisfied_relpos == 2 * (3 + 5 * 1)
-        full = count_model(Instance(items=items, bin=inst.bin))
-        reduced = count_model(inst)
-        assert full.binary - reduced.binary == info.relpos_vars_eliminated
+        full = Instance(items=items, bin=BinSpec(6, 6, 6, n=2))
+        inst = dataclasses.replace(full, relpos_avoid=frozenset({(0, 1, 3), (0, 2, 3), (0, 2, 6)}),
+                                   relpos_favour=frozenset({(1, 3, 1)}))
+        before, after = count_model(full), count_model(inst)
+        assert before.binary - after.binary == 3 + 6 * 1
+        assert before.quadratic_constraints - after.quadratic_constraints == 2 * (3 + 5 * 1)
+        assert before.linear_constraints - after.linear_constraints == 1
+        (b_full, rows_full), (b, rows) = census(build_model(full)), census(build_model(inst))
+        assert (b_full - b, rows_full - rows) == (3 + 6 * 1, 2 * (3 + 5 * 1))
 
     def test_negative_affinity_elimination(self):
+        """Categories 0 and 1 of two items each: nu = 4 item pairs, n = 2,
+        lose 6 nu binaries and 6 n nu non-overlap rows."""
         items = tuple(Item(index=i, l=1, w=1, h=1, mu=1, category=i % 2)
                       for i in range(4))
         inst = Instance(items=items, bin=BinSpec(4, 4, 4, n=2),
                         affinities=Affinities(negative=frozenset({(0, 1)})))
+        before, after = count_model(inst, reductions=False), count_model(inst)
+        assert before.binary - after.binary == 24
+        assert before.quadratic_constraints - after.quadratic_constraints == 6 * 2 * 4
         model = build_model(inst)
-        info = model.reductions
-        assert info.affinity_pairs_eliminated == 4  # categories 2x2 items
-        assert info.affinity_vars_eliminated == 24
-        assert info.nonoverlap_presatisfied_affinity == 6 * 2 * 4
+        (b_full, rows_full), (b, rows) = census(build_model(inst, reductions=False)), census(model)
+        assert (b_full - b, rows_full - rows) == (24, 6 * 2 * 4)
         # no b variables for eliminated pairs
         tags = {v.tag for v in model.variables}
         assert not any(t.startswith("b_0_1_") for t in tags)  # cats 0,1 -> neg pair
@@ -179,8 +179,9 @@ class TestReductionProvenance:
                       for i in range(2))
         inst = Instance(items=items, bin=BinSpec(4, 4, 4, n=1),
                         affinities=Affinities(negative=frozenset({(0, 1)})))
+        assert count_model(inst, reductions=False) == count_model(inst)
         model = build_model(inst)
-        assert model.reductions.affinity_pairs_eliminated == 0
+        assert census(build_model(inst, reductions=False)) == census(model)
         tags = {v.tag for v in model.variables}
         assert any(t.startswith("b_0_1_") for t in tags)
 
@@ -278,10 +279,10 @@ class TestLoadBalancingLinearization:
                 tag = f"xt_{i}"
                 exact = asg[tag]
                 asg[tag] = exact - Fraction(1, 2)
-                _, viols = evaluate(model, asg, check_bounds=False)
+                _, viols = evaluate(model, asg)
                 assert any(l.startswith("loadbal_x") for l, _ in viols), trial
                 asg[tag] = exact + 1
-                _, viols = evaluate(model, asg, check_bounds=False)
+                _, viols = evaluate(model, asg)
                 assert not any(l.startswith("loadbal_x") for l, _ in viols)
                 asg[tag] = exact
 
@@ -315,6 +316,51 @@ class TestReductionSoundness:
                 assert violations == [], (trial, reductions)
 
 
+def model_flags(inst: Instance, sol: PackingSolution, reductions: bool) -> bool:
+    """Whether the model rejects the packing: it does not encode (overlap)
+    or its assignment violates a bound or a row."""
+    try:
+        assignment = encode_solution(inst, sol, reductions=reductions)
+    except ValueError:
+        return True
+    return bool(evaluate(build_model(inst, reductions=reductions), assignment)[1])
+
+
+class TestValidatorAgreement:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2 ** 32 - 1), moves=st.integers(0, 2))
+    def test_explicit_relpos_triples(self, seed, moves):
+        """With explicit avoid and favour triples, the validator accepts a
+        heuristic solution, or one with up to `moves` items moved against a
+        face of another item, exactly when both model variants do."""
+        rng = random.Random(seed)
+        features = [f for f in ("overweight", "negative", "positive", "eta")
+                    if rng.random() < 0.4]
+        inst = solvable_instance(rng, features=features + ["avoid", "favour"])
+        result = solve_heuristic(inst, SolverConfig(iterations=5, seed=seed % 1000))
+        if result.best is None:
+            return
+        placements = list(result.best.placements)
+        for _ in range(moves):
+            idx = rng.randrange(len(placements))
+            item = inst.items[placements[idx].item]
+            k = rng.choice(sorted(allowed_orientations(item)))
+            dims = effective_dims(item, k)
+            other = rng.choice(placements)
+            axis = rng.randrange(3)
+            corner = list(other.corner)
+            if rng.random() < 0.5:
+                corner[axis] += effective_dims(inst.items[other.item], other.k)[axis]
+            else:
+                corner[axis] -= dims[axis]
+            if min(corner) >= 0:
+                placements[idx] = Placement(item.index, other.bin, k, *corner)
+        sol = PackingSolution(tuple(placements))
+        feasible = check(inst, sol).feasible
+        for reductions in (True, False):
+            assert feasible != model_flags(inst, sol, reductions), (reductions, sol)
+
+
 def fractional_com(rng: random.Random, inst: Instance) -> Instance:
     """The instance with a CoM target whose coordinates are thirds and halves."""
     lt = Fraction(rng.randint(0, 3 * inst.bin.L), 3)
@@ -328,17 +374,13 @@ class TestIntegerKernel:
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2 ** 32 - 1), reductions=st.booleans(),
-           check_bounds=st.booleans(),
            kind=st.sampled_from(["feasible", "perturbed", "random"]))
-    def test_matches_reference(self, seed, reductions, check_bounds, kind):
+    def test_matches_reference(self, seed, reductions, kind):
         rng = random.Random(seed)
         weights = tuple(Fraction(rng.randint(0, 5), rng.randint(1, 4)) for _ in range(3))
         if kind == "random":
             inst = fractional_com(rng, random_instance(rng, features=FEATURES))
-            try:
-                model = build_model(inst, weights, reductions=reductions)
-            except ModelBuildError:
-                return
+            model = build_model(inst, weights, reductions=reductions)
             # whole numbers, halves and thirds from -2 to upper + 2: values out
             # of bounds and, for binaries, values other than 0 and 1
             assignment = {var.tag: Fraction(rng.randint(-6, 3 * int(var.upper) + 6),
@@ -356,9 +398,8 @@ class TestIntegerKernel:
                 tags = sorted(assignment)
                 for tag in rng.sample(tags, rng.randint(1, min(4, len(tags)))):
                     assignment[tag] += Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3))
-        objective, violations = evaluate(model, assignment, check_bounds=check_bounds)
-        ref_objective, ref_violations, ref_breakdown = reference_evaluate(
-            model, assignment, check_bounds=check_bounds)
+        objective, violations = evaluate(model, assignment)
+        ref_objective, ref_violations, ref_breakdown = reference_evaluate(model, assignment)
         assert objective == ref_objective
         assert violations == ref_violations
         assert objective_breakdown(model, assignment) == ref_breakdown
@@ -372,10 +413,7 @@ class TestVariableIndex:
         rng = random.Random(77)
         for trial in range(40):
             inst = random_instance(rng, features=rng.sample(FEATURES, rng.randint(0, 7)))
-            try:
-                model = build_model(inst, reductions=reductions)
-            except ModelBuildError:
-                continue
+            model = build_model(inst, reductions=reductions)
             idx = model.index
             tagged = [(vid, f"v_{j}") for j, vid in enumerate(idx.v, start=1)]
             tagged += [(vid, f"u_{i}_{j}") for i, ids in enumerate(idx.u)

@@ -37,7 +37,7 @@ from binpack3d.solver.heuristic import (CANDIDATE_CAP, _Bin, _Ctx, _Packing, _be
                                         _move_reorient, _move_swap, _order_blocks)
 from binpack3d.validate import check, objectives
 
-from helpers import enumerate_feasible, oracle_instance, respects_relpos, solvable_instance
+from helpers import enumerate_feasible, oracle_instance, solvable_instance
 
 
 def cubes(count, side=1, mu=1, categories=None):
@@ -325,6 +325,28 @@ class TestFanOut:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_worker_ending_without_its_runs(self, monkeypatch):
+        """A worker that exits without sending its runs is reported in the
+        caller as a RuntimeError, and reaped. The caller's run is slowed, as
+        above, so that the worker has ended before the caller would make
+        the worker's run itself."""
+        pin_cpus(monkeypatch, 2)
+        caller, original = os.getpid(), heuristic._local_search
+
+        def dying(*args):
+            if os.getpid() != caller:
+                os._exit(0)
+            time.sleep(0.5)
+            return original(*args)
+
+        monkeypatch.setattr(heuristic, "_local_search", dying)
+        inst = Instance(items=cubes(2), bin=BinSpec(2, 2, 2, n=1))
+        with pytest.raises(RuntimeError,
+                           match=r"worker process of runs \[1\] ended without a result"):
+            solve_heuristic(inst, SolverConfig(iterations=5, seed=0, runs=2))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_order(self):
         """Slot s makes its own runs s, s + W, ...; in iteration mode (hedge)
         it then makes the other slots' runs in run order."""
@@ -406,8 +428,8 @@ class TestCanPlace:
     @given(st.data())
     def test_matches_validator_for_one_pair(self, data):
         """Box `second` against box `first` already in the bin: can_place says
-        yes exactly when the validator (plus the avoid/favour referee) accepts
-        the pair, for random dims, corners and relative-position triples."""
+        yes exactly when the validator accepts the pair, for random dims,
+        corners and relative-position triples."""
         draw = data.draw
         L, W, H = (draw(st.integers(3, 8)) for _ in range(3))  # every item fits every way
         items = tuple(Item(index=i, l=draw(st.integers(1, 3)), w=draw(st.integers(1, 3)),
@@ -419,7 +441,7 @@ class TestCanPlace:
             items=items, bin=BinSpec(L, W, H, n=1),
             eta=Fraction(2) if kind == "eta" else None,
             relpos_avoid=frozenset((0, 1, q) for q in qs) if kind == "avoid" else frozenset(),
-            # one favoured position: the model rejects a pair favoured in two
+            # one favoured position: Instance refuses a pair favoured in two
             relpos_favour=frozenset({(0, 1, min(qs))}) if kind == "favour" else frozenset(),
         )
         first = draw(st.integers(0, 1))
@@ -444,7 +466,7 @@ class TestCanPlace:
         sol = PackingSolution(tuple(Placement(item=i, bin=1, k=ks[i], x=corners[i][0],
                                               y=corners[i][1], z=corners[i][2])
                                     for i in range(2)))
-        assert got == (check(inst, sol).feasible and respects_relpos(inst, sol))
+        assert got == check(inst, sol).feasible
 
 
 class TestConstruct:
@@ -1085,6 +1107,19 @@ class TestAnnealerGolden:
                                 SolverConfig(backend="annealer", iterations=3000,
                                              seed=seed, runs=2))
         assert solution_sha256(tmp_path, result, seed, "annealer", 3000) == digest
+
+
+class TestPositiveGroups:
+    @pytest.mark.parametrize("backend", ["heuristic", "oracle"])
+    def test_absent_category_joins_nothing(self, backend):
+        """positive [[1, 2], [2, 3]] with no category-2 item binds no item
+        pair, so 2x2x2 items of categories 1 and 3 may fill two 2x2x2 bins."""
+        items = (Item(0, 2, 2, 2, 1, 1), Item(1, 2, 2, 2, 1, 3))
+        inst = Instance(items=items, bin=BinSpec(2, 2, 2, n=2),
+                        affinities=Affinities(positive=frozenset({(1, 2), (2, 3)})))
+        result = solve(inst, SolverConfig(backend=backend, iterations=10))
+        assert result.best is not None and result.best.o1 == 2
+        assert check(inst, result.best).feasible
 
 
 class TestDispatcherAndThreads:

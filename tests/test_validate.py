@@ -23,6 +23,7 @@ from binpack3d.validate import (
     OVERLAP,
     OVERWEIGHT,
     POSITIVE_AFFINITY,
+    RELATIVE_POSITION,
     check,
     objectives,
 )
@@ -114,6 +115,19 @@ class TestCheck:
                         affinities=Affinities(positive=frozenset({(0, 1)})))
         sol = PackingSolution((place(0), place(1, bin=2, x=3)))
         assert check(inst, sol).by_rule(POSITIVE_AFFINITY)
+
+    @pytest.mark.parametrize("triples", [
+        {"relpos_avoid": frozenset({(0, 1, 3)})},
+        {"relpos_favour": frozenset({(0, 1, 1)})},
+    ])
+    def test_relative_position(self, triples):
+        """Cube 1 resting on cube 0 holds only position 3 (0 below 1), which
+        avoid (0, 1, 3) forbids and favour (0, 1, 1) does not give; side by
+        side, the pair holds position 1 and satisfies both."""
+        inst = Instance(items=unit_items(2), bin=BinSpec(3, 3, 3, n=1), **triples)
+        report = check(inst, PackingSolution((place(0), place(1, z=1))))
+        assert [(v.rule, v.indices) for v in report.violations] == [(RELATIVE_POSITION, (0, 1))]
+        assert check(inst, PackingSolution((place(0), place(1, x=1)))).feasible
 
     def test_out_of_bounds(self):
         inst = Instance(items=unit_items(1), bin=BinSpec(3, 3, 3, n=1))
