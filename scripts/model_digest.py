@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Print digests that pin the model compiler's and the solvers' output.
 
-Four sections, each a sha256 over canonical text:
+Five sections, each a sha256 over canonical text:
 
 * ``archetypes``: for each of the twelve archetypes (seed 0), the LP text,
   the closed-form counts and the audit of the built model.
+* ``models``: the LP text and closed-form counts of both ``reductions``
+  variants on a fixed, seeded set of small instances with avoid and favour
+  triples, eta, and negative and positive affinities.
 * ``annealer``: ``solve_annealer`` (best placements, energy, run log) on a
   fixed, seeded set of small random instances with fractional CoM targets,
   fractional objective weights and every model feature; one short digest
@@ -39,12 +42,14 @@ from binpack3d import (
     audit_counts,
     build_model,
     count_model,
+    load_bearing_avoid,
     lp_string,
     solve_annealer,
     solve_heuristic,
     solve_oracle,
 )
 
+MODEL_INSTANCES = 40
 ORACLE_INSTANCES = 12
 
 
@@ -78,6 +83,51 @@ def small_instance(rng: random.Random) -> Instance:
         com_target=(Fraction(rng.randint(0, 2 * L), 2), Fraction(rng.randint(0, 3 * W), 3)),
         relpos_favour=favour,
     )
+
+
+def relpos_instance(rng: random.Random) -> Instance:
+    """Two to six items in one to three bins, with at random eta, one negative
+    and one positive category pair, and avoid and favour triples on distinct
+    pairs (a favoured pair also clear of eta's avoid triples)."""
+    m = rng.randint(2, 6)
+    items = tuple(
+        Item(index=i, l=rng.randint(1, 3), w=rng.randint(1, 3), h=rng.randint(1, 3),
+             mu=rng.randint(1, 9), category=rng.randrange(4))
+        for i in range(m)
+    )
+    cats = sorted({it.category for it in items})
+    negative = positive = frozenset()
+    if len(cats) >= 2 and rng.random() < 0.5:
+        negative = frozenset({tuple(sorted(rng.sample(cats, 2)))})
+    if len(cats) >= 2 and rng.random() < 0.5:
+        positive = frozenset({tuple(sorted(rng.sample(cats, 2)))}) - negative
+    eta = Fraction(rng.randint(3, 5), 2) if rng.random() < 0.5 else None
+    pairs = [(i, k) for i in range(m) for k in range(i + 1, m)]
+    rng.shuffle(pairs)
+    derived = {(i, k) for i, k, _ in load_bearing_avoid(items, eta)} if eta else set()
+    favour = {(*pair, rng.randint(1, 6)) for pair in pairs[:rng.randint(0, 2)]
+              if pair not in derived}
+    avoid = {(*pair, q) for pair in pairs[2:2 + rng.randint(0, 3)]
+             for q in rng.sample(range(1, 7), rng.randint(1, 4))}
+    return Instance(
+        items=items,
+        bin=BinSpec(*(rng.randint(3, 6) for _ in range(3)), n=rng.randint(1, 3)),
+        affinities=Affinities(positive=positive, negative=negative),
+        eta=eta,
+        relpos_avoid=frozenset(avoid),
+        relpos_favour=frozenset(favour),
+    )
+
+
+def model_digest() -> str:
+    rng = random.Random(20261020)
+    h = hashlib.sha256()
+    for _ in range(MODEL_INSTANCES):
+        inst = relpos_instance(rng)
+        for reductions in (True, False):
+            h.update(lp_string(build_model(inst, reductions=reductions)).encode())
+            h.update(repr(count_model(inst, reductions=reductions)).encode())
+    return h.hexdigest()
 
 
 def archetype_digest() -> str:
@@ -149,6 +199,7 @@ def main() -> int:
     parser.add_argument("--iterations", type=int, default=1500)
     args = parser.parse_args()
     print(f"archetypes {archetype_digest()}")
+    print(f"models     {model_digest()}")
     results = annealer_digests(args.instances, args.iterations)
     for trial, (digest, energy) in enumerate(results):
         print(f"  instance {trial:2d} {digest[:12]} energy {energy}")

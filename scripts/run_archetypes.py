@@ -64,7 +64,8 @@ def main() -> int:
         all_ok &= feasible
         save_solution(result.best, out / f"{name}_solution.json",
                       energy=result.energy, solver="heuristic", seed=args.seed,
-                      elapsed_s=result.elapsed, time_limit=args.time_limit,
+                      elapsed_s=result.elapsed,
+                      time_limit=None if args.iterations is not None else args.time_limit,
                       iterations=args.iterations, run_log=result.run_log,
                       instance_name=name)
         render_to_file(instance, result.best, out / f"{name}.svg")

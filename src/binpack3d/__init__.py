@@ -10,7 +10,6 @@ from .core import (
     PackingSolution,
     Placement,
     allowed_orientations,
-    canonical_orientation,
     default_bin_count,
     effective_dims,
     kappa,

@@ -10,7 +10,6 @@ separations left/behind/below/right/front/above.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -19,6 +18,7 @@ Rational = Union[int, Fraction]
 
 ORIENTATIONS = (1, 2, 3, 4, 5, 6)
 RELPOS = (1, 2, 3, 4, 5, 6)
+ALL_RELPOS = sum(1 << q for q in RELPOS)  # bit q set for every position q
 
 # orientation k -> indices into (l, w, h) giving the effective (x', y', z')
 _ORIENT_PERM = {
@@ -201,20 +201,21 @@ class Instance:
                 raise ValueError(f"relpos triple {tri}: need 0 <= i < k < m")
             if q not in RELPOS:
                 raise ValueError(f"relpos triple {tri}: q must be in 1..6")
-        avoid_pairs = Counter((i, k) for i, k, _ in avoid)
-        favour_pairs = Counter((i, k) for i, k, _ in favour)
-        clash = avoid_pairs.keys() & favour_pairs.keys()
-        if clash:
-            raise ValueError(f"pairs in both avoid and favour sets: {sorted(clash)}")
-        if favour_pairs and max(favour_pairs.values()) > 1:
-            pair = min(p for p, count in favour_pairs.items() if count > 1)
-            raise ValueError(f"pair {pair} is favoured in {favour_pairs[pair]} "
-                             "relative positions")
-        if avoid_pairs and max(avoid_pairs.values()) == len(RELPOS):
-            pair = min(p for p, count in avoid_pairs.items() if count == len(RELPOS))
-            raise ValueError(f"pair {pair} has all six relative positions avoided")
         object.__setattr__(self, "relpos_avoid", frozenset(avoid))
         object.__setattr__(self, "relpos_favour", favour)
+        table = relpos_masks(self)
+        clash = sorted(p for p, (allowed, required) in table.items()
+                       if required and allowed != ALL_RELPOS)
+        if clash:
+            raise ValueError(f"pairs in both avoid and favour sets: {clash}")
+        twice = [p for p, (_, required) in table.items() if required & (required - 1)]
+        if twice:
+            pair = min(twice)
+            raise ValueError(f"pair {pair} is favoured in {table[pair][1].bit_count()} "
+                             "relative positions")
+        blocked = [p for p, (allowed, _) in table.items() if not allowed]
+        if blocked:
+            raise ValueError(f"pair {min(blocked)} has all six relative positions avoided")
 
     @property
     def m(self) -> int:
@@ -300,12 +301,11 @@ def relpos_masks(instance: Instance) -> dict[tuple[int, int], tuple[int, int]]:
     favoured position holds).
     """
     table: dict[tuple[int, int], tuple[int, int]] = {}
-    all_bits = sum(1 << q for q in RELPOS)
     for i, k, q in instance.relpos_avoid:
-        allowed, required = table.get((i, k), (all_bits, 0))
+        allowed, required = table.get((i, k), (ALL_RELPOS, 0))
         table[(i, k)] = (allowed & ~(1 << q), required)
     for i, k, q in instance.relpos_favour:
-        allowed, required = table.get((i, k), (all_bits, 0))
+        allowed, required = table.get((i, k), (ALL_RELPOS, 0))
         table[(i, k)] = (allowed, required | 1 << q)
     return table
 
@@ -342,15 +342,6 @@ def effective_dims(item: Item, k: int) -> tuple[int, int, int]:
         raise ValueError(f"orientation must be in 1..6, got {k}") from None
     dims = item.dims
     return (dims[perm[0]], dims[perm[1]], dims[perm[2]])
-
-
-def canonical_orientation(item: Item, k: int) -> int:
-    """Smallest allowed orientation with the same effective dims as k."""
-    target = effective_dims(item, k)
-    for cand in sorted(allowed_orientations(item)):
-        if effective_dims(item, cand) == target:
-            return cand
-    raise ValueError(f"no allowed orientation of item {item.index} matches k={k}")
 
 
 def fits_in_bin(item: Item, k: int, bin_spec: BinSpec) -> bool:
@@ -420,9 +411,3 @@ class PackingSolution:
     @property
     def bins_used(self) -> int:
         return len({p.bin for p in self.placements})
-
-    def placement_of(self, item: int) -> Placement:
-        for p in self.placements:
-            if p.item == item:
-                return p
-        raise KeyError(item)

@@ -40,6 +40,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence, Union
 
 from .core import (
+    ALL_RELPOS,
     RELPOS,
     Instance,
     PackingSolution,
@@ -209,29 +210,34 @@ class ModelCounts:
 # ---------------------------------------------------------------------------
 # reduction planning (shared by build_model / count_model / encode_solution)
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions q whose bit is set in mask, ascending."""
+    return tuple(q for q in RELPOS if mask >> q & 1)
+
+
 @dataclass(frozen=True)
 class _Plan:
-    n: int
-    m: int
     eliminated_pairs: frozenset[tuple[int, int]]
-    favour_q: dict[tuple[int, int], int]
-    avoid_qs: dict[tuple[int, int], frozenset[int]]
-    fixed_b: dict[tuple[int, int, int], int]
-    fix_rows: tuple[tuple[int, int, int, int], ...]  # reductions=False: (i,k,q,value)
+    # relpos_masks less the eliminated pairs; empty without reductions
+    relpos: dict[tuple[int, int], tuple[int, int]]
     neg_item_pairs: tuple[tuple[int, int], ...]
     pos_item_pairs: tuple[tuple[int, int], ...]
 
     def b_free(self, pair: tuple[int, int]) -> tuple[int, ...]:
+        """The pair's b variables: none when eliminated or favoured (all six
+        fixed), else the positions not avoided."""
         if pair in self.eliminated_pairs:
             return ()
-        return tuple(q for q in range(1, 7) if (pair[0], pair[1], q) not in self.fixed_b)
+        allowed, required = self.relpos.get(pair, (ALL_RELPOS, 0))
+        return () if required else _bits(allowed)
 
     def kept_rows(self, pair: tuple[int, int]) -> tuple[int, ...]:
+        """The pair's non-overlap positions: the favoured one, else those
+        not avoided."""
         if pair in self.eliminated_pairs:
             return ()
-        if pair in self.favour_q:
-            return (self.favour_q[pair],)
-        return self.b_free(pair)
+        allowed, required = self.relpos.get(pair, (ALL_RELPOS, 0))
+        return _bits(required or allowed)
 
 
 def _category_item_pairs(instance: Instance,
@@ -248,43 +254,14 @@ def _category_item_pairs(instance: Instance,
 
 
 def _plan(instance: Instance, reductions: bool) -> _Plan:
-    n, m = instance.bin.n, instance.m
-    neg_item_pairs = _category_item_pairs(instance, instance.affinities.negative)
-    pos_item_pairs = _category_item_pairs(instance, instance.affinities.positive)
-
-    # Instance admits at most one favoured position per pair
-    favour_raw = {(i, k): q for i, k, q in instance.relpos_favour}
-    avoid_raw: dict[tuple[int, int], set[int]] = {}
-    for i, k, q in sorted(instance.relpos_avoid):
-        avoid_raw.setdefault((i, k), set()).add(q)
-
+    neg_item_pairs = tuple(_category_item_pairs(instance, instance.affinities.negative))
+    pos_item_pairs = tuple(_category_item_pairs(instance, instance.affinities.positive))
     if not reductions:
-        fix_rows = tuple(
-            (i, k, q, 1 if q == fq else 0)
-            for (i, k), fq in sorted(favour_raw.items())
-            for q in range(1, 7)
-        ) + tuple(
-            (i, k, q, 0)
-            for (i, k), qs in sorted(avoid_raw.items())
-            for q in sorted(qs)
-        )
-        return _Plan(n, m, frozenset(), {}, {}, {}, fix_rows,
-                     tuple(neg_item_pairs), tuple(pos_item_pairs))
-
-    eliminated = frozenset(neg_item_pairs) if n >= 2 else frozenset()
-    favour_eff = {p: q for p, q in favour_raw.items() if p not in eliminated}
-    avoid_eff = {p: frozenset(qs) for p, qs in avoid_raw.items() if p not in eliminated}
-
-    fixed_b: dict[tuple[int, int, int], int] = {}
-    for (i, k), fq in favour_eff.items():
-        for q in range(1, 7):
-            fixed_b[(i, k, q)] = 1 if q == fq else 0
-    for (i, k), qs in avoid_eff.items():
-        for q in qs:
-            fixed_b[(i, k, q)] = 0
-
-    return _Plan(n, m, eliminated, favour_eff, avoid_eff, fixed_b, (),
-                 tuple(neg_item_pairs), tuple(pos_item_pairs))
+        return _Plan(frozenset(), {}, neg_item_pairs, pos_item_pairs)
+    eliminated = frozenset(neg_item_pairs) if instance.n >= 2 else frozenset()
+    relpos = {pair: masks for pair, masks in relpos_masks(instance).items()
+              if pair not in eliminated}
+    return _Plan(eliminated, relpos, neg_item_pairs, pos_item_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +280,7 @@ def build_model(instance: Instance,
                 *, reductions: bool = True) -> QuadraticModel:
     """Compile the instance."""
     plan = _plan(instance, reductions)
-    n, m = plan.n, plan.m
+    n, m = instance.n, instance.m
     L, W, H = instance.bin.L, instance.bin.W, instance.bin.H
     w1, w2, w3 = (Fraction(w) for w in weights)
     has_com = instance.com_target is not None
@@ -326,7 +303,7 @@ def build_model(instance: Instance,
             idx.r[item.index] = {k: add_var(f"r_{item.index}_{k}", True, 0, 1) for k in ks}
     pairs = [(i, k) for i in range(m) for k in range(i + 1, m)]
     for i, k in pairs:
-        qs = plan.b_free((i, k)) if reductions else range(1, 7)
+        qs = plan.b_free((i, k))
         if qs:
             idx.b[(i, k)] = {q: add_var(f"b_{i}_{k}_{q}", True, 0, 1) for q in qs}
     idx.x = [add_var(f"x_{i}", False, 0, n * L) for i in range(m)]
@@ -389,6 +366,7 @@ def build_model(instance: Instance,
 
     # pairwise non-overlap, big-M deactivated unless both items share bin j
     for i, k in pairs:
+        b_vars = idx.b.get((i, k))
         for q in plan.kept_rows((i, k)):
             big = _big_m(q, instance)
             for j in range(1, n + 1):
@@ -397,20 +375,19 @@ def build_model(instance: Instance,
                     terms.add_quad(idx.u[i][j - 1], idx.u[k][j - 1], big)
                 else:
                     terms.constant += big
-                bkey = (i, k, q)
-                if not reductions or bkey not in plan.fixed_b:
-                    terms.add_linear(idx.b[(i, k)][q], big)
+                if b_vars is None:  # favoured: its b is fixed to 1
+                    terms.constant += big
                 else:
-                    terms.constant += big * plan.fixed_b[bkey]
+                    terms.add_linear(b_vars[q], big)
                 axis = {1: 0, 4: 0, 2: 1, 5: 1, 3: 2, 6: 2}[q]
                 front, back = ((i, k) if q in (1, 2, 3) else (k, i))
                 terms.add_linear(coords[axis][front], 1)
                 add_eff(terms, instance.items[front], axis, 1)
                 terms.add_linear(coords[axis][back], -1)
                 add_constraint(f"nonoverlap_{i}_{k}_{q}_{j}", terms, Sense.LE, 2 * big)
-        if (i, k) in idx.b:
+        if b_vars is not None:
             terms = _Terms()
-            for vid in idx.b[(i, k)].values():
+            for vid in b_vars.values():
                 terms.add_linear(vid, 1)
             add_constraint(f"relpos_unique_{i}_{k}", terms, Sense.EQ, 1)
 
@@ -516,10 +493,16 @@ def build_model(instance: Instance,
                 add_constraint(f"loadbal_y_{suffix}_{i}", terms, Sense.LE, sign * wt)
 
     if not reductions:
-        for i, k, q, val in plan.fix_rows:
-            terms = _Terms()
-            terms.add_linear(idx.b[(i, k)][q], 1)
-            add_constraint(f"relpos_fix_{i}_{k}_{q}", terms, Sense.EQ, val)
+        # the favoured pairs' six rows first, then the avoided positions
+        table = sorted(relpos_masks(instance).items())
+        fixes = [(pair, required, RELPOS) for pair, (_, required) in table if required]
+        fixes += [(pair, 0, _bits(ALL_RELPOS & ~allowed))
+                  for pair, (allowed, required) in table if not required]
+        for (i, k), ones, qs in fixes:
+            for q in qs:
+                terms = _Terms()
+                terms.add_linear(idx.b[(i, k)][q], 1)
+                add_constraint(f"relpos_fix_{i}_{k}_{q}", terms, Sense.EQ, ones >> q & 1)
 
     return QuadraticModel(
         variables=variables,
@@ -540,7 +523,7 @@ def build_model(instance: Instance,
 def count_model(instance: Instance, *, reductions: bool = True) -> ModelCounts:
     """Evaluate the size tables without building the model."""
     plan = _plan(instance, reductions)
-    n, m = plan.n, plan.m
+    n, m = instance.n, instance.m
     c2 = m * (m - 1) // 2
     kap = kappa(instance)
     ic = sum(1 for it in instance.items if not nonredundant_orientations(it))
@@ -548,8 +531,8 @@ def count_model(instance: Instance, *, reductions: bool = True) -> ModelCounts:
     has_com = instance.com_target is not None
     has_aff = bool(plan.neg_item_pairs or plan.pos_item_pairs)
 
-    p_minus = sum(len(qs) for qs in plan.avoid_qs.values())
-    p_plus = len(plan.favour_q)
+    p_minus = sum((ALL_RELPOS & ~allowed).bit_count() for allowed, _ in plan.relpos.values())
+    p_plus = sum(1 for _, required in plan.relpos.values() if required)
     negelim = len(plan.eliminated_pairs)
 
     binary_mand = 6 * c2 + kap + (n * (m + 1) if n >= 2 else 0)
@@ -698,7 +681,7 @@ def encode_solution(instance: Instance, solution: PackingSolution, *,
     axis (overlap) or an orientation is not in the item's non-redundant set.
     """
     plan = _plan(instance, reductions)
-    n, m = plan.n, plan.m
+    n, m = instance.n, instance.m
     L = instance.bin.L
     by_item: dict[int, object] = {}
     for p in solution.placements:
@@ -738,20 +721,19 @@ def encode_solution(instance: Instance, solution: PackingSolution, *,
     # position; an avoided one is taken only when no other is valid), so an
     # assignment is violation-free in the reduced model iff it is in the
     # explicit-row one
-    every = sum(1 << q for q in RELPOS)
     relpos = relpos_masks(instance)
     for i in range(m):
         for k in range(i + 1, m):
             pair = (i, k)
-            emit = plan.b_free(pair) if reductions else RELPOS
+            emit = plan.b_free(pair)
             if not emit:
                 continue
             pi, pk = by_item[i], by_item[k]
-            valid = (every if pi.bin != pk.bin
+            valid = (ALL_RELPOS if pi.bin != pk.bin
                      else separation_mask(pi.corner, dims[i], pk.corner, dims[k]))
             if not valid:
                 raise ValueError(f"items {i} and {k} overlap in bin {pi.bin}")
-            allowed, required = relpos.get(pair, (every, 0))
+            allowed, required = relpos.get(pair, (ALL_RELPOS, 0))
             pick = required or valid & allowed or allowed
             chosen = (pick & -pick).bit_length() - 1  # the lowest q in pick
             for q in emit:

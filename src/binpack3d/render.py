@@ -55,6 +55,10 @@ def _line(p0, p1, stroke: str, width: float) -> str:
 
 
 def render_svg(instance: Instance, solution: PackingSolution) -> str:
+    """The SVG text; ValueError for a placement of an unknown item."""
+    for p in solution.placements:
+        if p.item >= instance.m:
+            raise ValueError(f"placement references unknown item {p.item}")
     L, W, H = instance.bin.L, instance.bin.W, instance.bin.H
     scale = 220.0 / max(L, W, H)
     bins = sorted({p.bin for p in solution.placements})

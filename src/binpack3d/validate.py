@@ -30,19 +30,6 @@ LOAD_BEARING = "LoadBearing"
 RELATIVE_POSITION = "RelativePosition"
 BAD_ORIENTATION = "BadOrientation"
 
-RULES = (
-    OUT_OF_BOUNDS,
-    OVERLAP,
-    DUPLICATE_BIN,
-    NON_SEQUENTIAL_BINS,
-    OVERWEIGHT,
-    NEGATIVE_AFFINITY,
-    POSITIVE_AFFINITY,
-    LOAD_BEARING,
-    RELATIVE_POSITION,
-    BAD_ORIENTATION,
-)
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -303,7 +303,7 @@ class TestFuzzJsonBoundary:
     """One node of a valid instance or solution document replaced by a random
     JSON value: the command exits with a documented code and never raises."""
 
-    def run_quietly(self, instance_doc, solution_doc=None):
+    def run_quietly(self, instance_doc, solution_doc=None, command="validate"):
         with tempfile.TemporaryDirectory() as tmp:
             inst = Path(tmp) / "inst.json"
             inst.write_text(json.dumps(instance_doc))
@@ -312,7 +312,9 @@ class TestFuzzJsonBoundary:
             else:
                 sol = Path(tmp) / "sol.json"
                 sol.write_text(json.dumps(solution_doc))
-                argv = ["validate", "--instance", str(inst), "--solution", str(sol)]
+                argv = [command, "--instance", str(inst), "--solution", str(sol)]
+                if command == "render":
+                    argv += ["--out", str(Path(tmp) / "out.svg")]
             return quietly(argv)
 
     @settings(max_examples=150, deadline=None,
@@ -327,6 +329,13 @@ class TestFuzzJsonBoundary:
     def test_validate_solution_node(self, path, value):
         doc = with_node(tiny_solution_doc(), path, value)
         assert self.run_quietly(instance_to_dict(TINY), doc) in (0, 1, 2, 3)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(list(json_paths(tiny_solution_doc()))), JSON_VALUES)
+    def test_render_solution_node(self, path, value):
+        doc = with_node(tiny_solution_doc(), path, value)
+        assert self.run_quietly(instance_to_dict(TINY), doc, "render") in (0, 2)
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -441,15 +450,17 @@ class TestValidate:
         report = json.loads(stdout)
         assert any(v["rule"] == "Overlap" for v in report)
 
-    def test_unknown_item_exits_2(self, capsys, tiny_instance, tmp_path):
+    @pytest.mark.parametrize("command", ["validate", "render"])
+    def test_unknown_item_exits_2(self, capsys, tiny_instance, tmp_path, command):
         sol = PackingSolution((Placement(item=0, bin=1, k=1, x=0, y=0, z=0),
                                Placement(item=7, bin=1, k=1, x=1, y=0, z=0)))
         path = tmp_path / "unknown.json"
         save_solution(sol, path)
-        code, _, err = run(capsys, "validate", "--instance", str(tiny_instance),
-                           "--solution", str(path))
+        out = ["--out", str(tmp_path / "unknown.svg")] if command == "render" else []
+        code, _, err = run(capsys, command, "--instance", str(tiny_instance),
+                           "--solution", str(path), *out)
         assert code == 2
-        assert "unknown" in err
+        assert "unknown item 7" in err
 
 
 class TestRender:

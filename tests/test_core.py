@@ -11,7 +11,6 @@ from binpack3d import (
     Placement,
     PackingSolution,
     allowed_orientations,
-    canonical_orientation,
     default_bin_count,
     effective_dims,
     kappa,
@@ -77,13 +76,6 @@ class TestOrientations:
         a = make_item(l, w, h)
         b = Item(index=index, l=l, w=w, h=h, mu=3, category=category)
         assert nonredundant_orientations(a) == nonredundant_orientations(b)
-
-    @given(dims_st, dims_st, dims_st, st.integers(min_value=1, max_value=6))
-    def test_canonical_orientation_matches_dims(self, l, w, h, k):
-        item = make_item(l, w, h)
-        canon = canonical_orientation(item, k)
-        assert canon in allowed_orientations(item)
-        assert effective_dims(item, canon) == effective_dims(item, k)
 
 
 class TestKappa:

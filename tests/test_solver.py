@@ -1015,8 +1015,8 @@ class TestOracle:
         for sol in enumerate_feasible(inst):
             report = check(inst, sol)
             assert report.feasible
-            p0 = sol.placement_of(0)
-            p1 = sol.placement_of(1)
+            by_item = {p.item: p for p in sol.placements}
+            p0, p1 = by_item[0], by_item[1]
             # heavy item 1 never rests above item 0
             assert not (p1.z >= p0.z + 1 and p1.x < p0.x + 2 and p0.x < p1.x + 2)
         result = solve_oracle(inst)
