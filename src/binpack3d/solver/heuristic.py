@@ -26,7 +26,6 @@ from ..core import (
     mirror_relpos,
     positive_groups,
     relpos_masks,
-    separation_mask,
 )
 from .config import NoSolution, SolveResult, SolverConfig, Stop, run_backend
 
@@ -38,6 +37,7 @@ CANDIDATE_CAP = 48  # a reinsert tries at most this many corners per bin
 _MIRROR = [sum(1 << mirror_relpos(q) for q in RELPOS if mask >> q & 1)
            for mask in range(1 << (max(RELPOS) + 1))]
 _BOX_Z = itemgetter(4)  # a box's z
+_TAIL = itemgetter(0)  # a scored spot's or orientation's tail
 
 
 class _Ctx:
@@ -89,13 +89,15 @@ class _Ctx:
         # with no negative rate a tail is at least cz (z + c)
         self.tail_floor = w2 >= 0 and w3 >= 0
         # item -> its allowed orientations in k order, each a shape (k, dims,
-        # cz c, a qx - px, b qy - py) with the constants of item_tail
+        # cz c, a qx - px, b qy - py, L - a, W - b, H - c): the constants of
+        # item_tail, then the largest corner coordinates that keep it in bounds
         self.shapes: dict[int, tuple[tuple, ...]] = {}
         for it in instance.items:
             shapes = []
             for k in sorted(allowed_orientations(it)):
                 a, b, c = dims = effective_dims(it, k)
-                shapes.append((k, dims, cz * c, a * qx - px, b * qy - py))
+                shapes.append((k, dims, cz * c, a * qx - px, b * qy - py,
+                               self.L - a, self.W - b, self.H - c))
             self.shapes[it.index] = tuple(shapes)
         # item -> its least height over orientations: with tail_floor, the
         # item's tail at height z is at least cz (z + min_c)
@@ -105,7 +107,7 @@ class _Ctx:
         """The share of the weighted (o2, o3) objective tail, times D, of an
         item in orientation shape at (x, y, z): cz z + cz c
         + cx |2 qx x + a qx - px| + cy |2 qy y + b qy - py|."""
-        _, _, zc, ax, by = shape
+        zc, ax, by = shape[2:5]
         tail = self.cz * z + zc
         if self.com is not None:
             qx, _, cx, qy, _, cy = self.com
@@ -266,29 +268,35 @@ class _Packing:
                 rule = rules.get(o)
                 if rule is None:
                     continue
-                mask = separation_mask((x, y, z), dims, (ox, oy, oz),
-                                       (ox1 - ox, oy1 - oy, oz1 - oz))
+                # core.separation_mask of the new box to box o
+                mask = ((x1 <= ox) << 1 | (y1 <= oy) << 2 | (z1 <= oz) << 3
+                        | (ox1 <= x) << 4 | (oy1 <= y) << 5 | (oz1 <= z) << 6)
                 allowed, required = rule
                 if not mask & allowed or mask & required != required:
                     return False
         return True
 
-    def least_tail_at(self, item: int, j: int, x: int, y: int, z: int
-                      ) -> Optional[tuple[int, int, tuple]]:
+    def least_tail_at(self, item: int, j: int, x: int, y: int, z: int,
+                      bound: Optional[int] = None) -> Optional[tuple[int, int, tuple]]:
         """(tail, k, dims) of the first orientation of least item tail that is
-        in bounds, admitted and fits at the fixed spot (x, y, z) of bin j, or None."""
+        in bounds, admitted and fits at the fixed spot (x, y, z) of bin j, or
+        None; given a bound, None also when that tail is not under it. The
+        orientations are checked in (tail, k) order, so fits runs only until
+        the answer is found."""
         if not self.admits(item, j):
             return None
         ctx = self.ctx
-        best = None
+        tails = []
         for shape in ctx.shapes[item]:
-            dims = shape[1]
-            if (x + dims[0] <= ctx.L and y + dims[1] <= ctx.W and z + dims[2] <= ctx.H
-                    and self.fits(item, j, dims, x, y, z)):
+            if x <= shape[5] and y <= shape[6] and z <= shape[7]:
                 tail = ctx.item_tail(shape, x, y, z)
-                if best is None or tail < best[0]:
-                    best = (tail, shape[0], dims)
-        return best
+                if bound is None or tail < bound:
+                    tails.append((tail, shape[0], shape[1]))
+        tails.sort(key=_TAIL)
+        for got in tails:
+            if self.fits(item, j, got[2], x, y, z):
+                return got
+        return None
 
     def put(self, item: int, j: int, box: tuple, tail: int) -> None:
         """Add the item's box to bin j and to the totals, but not to the
@@ -374,6 +382,7 @@ def _first_fit(pk: _Packing, item: int, j: int) -> bool:
     if not pk.admits(item, j):
         return False
     ctx = pk.ctx
+    shapes = ctx.shapes[item]
     bn = pk.bins[j]
     cover = bn.cover
     for p in bn.corners:
@@ -381,13 +390,19 @@ def _first_fit(pk: _Packing, item: int, j: int) -> bool:
         if count or (count is None and bn.occupied(p)):
             continue
         z, y, x = p
-        for shape in ctx.shapes[item]:
-            dims = shape[1]
-            if (x + dims[0] <= ctx.L and y + dims[1] <= ctx.W and z + dims[2] <= ctx.H
-                    and pk.fits(item, j, dims, x, y, z)):
-                a, b, c = dims
+        for shape in shapes:
+            if not (x <= shape[5] and y <= shape[6] and z <= shape[7]):
+                continue
+            a, b, c = shape[1]
+            x1, y1, z1 = x + a, y + b, z + c
+            # fits' own first test, here without the call
+            bl = bn.blocker
+            if (bl is not None and x < bl[5] and bl[2] < x1 and y < bl[6] and bl[3] < y1
+                    and z < bl[7] and bl[4] < z1):
+                continue
+            if pk.fits(item, j, shape[1], x, y, z):
                 # corners changes here, so the scan ends with the placement
-                pk.place(item, j, (item, shape[0], x, y, z, x + a, y + b, z + c),
+                pk.place(item, j, (item, shape[0], x, y, z, x1, y1, z1),
                          ctx.item_tail(shape, x, y, z))
                 return True
     return False
@@ -410,6 +425,37 @@ def _construct(ctx: _Ctx, order: Sequence[int]) -> tuple[Optional[_Packing], Opt
     return pk, None
 
 
+def _sample_sorted(rng: random.Random, n: int, k: int) -> list[int]:
+    """sorted(rng.sample(range(n), k)), drawn with the same getrandbits calls
+    as random.Random.sample makes: below its set-size threshold it picks from
+    a shrinking pool, above it it redraws indices already taken, and each
+    pick redraws until it is under its range (Random._randbelow)."""
+    getrandbits = rng.getrandbits
+    setsize = 21  # random.Random.sample's threshold, computed as it does
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        picked = []
+        for size in range(n, n - k, -1):
+            bits = size.bit_length()
+            i = getrandbits(bits)
+            while i >= size:
+                i = getrandbits(bits)
+            picked.append(pool[i])
+            pool[i] = pool[size - 1]
+        picked.sort()
+        return picked
+    bits = n.bit_length()
+    taken = set()
+    for _ in range(k):
+        i = getrandbits(bits)
+        while i >= n or i in taken:
+            i = getrandbits(bits)
+        taken.add(i)
+    return sorted(taken)
+
+
 def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
                cap: int, bound: Optional[int] = None
                ) -> Optional[tuple[int, int, int, tuple, int, int, int]]:
@@ -421,7 +467,6 @@ def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
     and with no negative tail rate, a bin's scan ends at the first corner too
     high for any spot there or later to come in under it."""
     ctx = pk.ctx
-    L, W, H = ctx.L, ctx.W, ctx.H
     cz, com = ctx.cz, ctx.com
     if com is not None:
         qx, _, cx, qy, _, cy = com
@@ -431,7 +476,8 @@ def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
     cut = bound is not None and ctx.tail_floor
     min_c = ctx.min_c[item]
     locked = pk.locked_bin(item)
-    spots = []  # (tail, enumeration index, j, k, dims, x, y, z)
+    spots = []  # (tail, j, k, dims, x, y, z) in enumeration order
+    add = spots.append
     for j in bins:
         if locked is not None and locked != j:
             continue
@@ -439,7 +485,7 @@ def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
         if len(cands) > cap:
             # the same draw as sampling cands itself; sorted indices keep
             # the corners in order
-            cands = [cands[i] for i in sorted(rng.sample(range(len(cands)), cap))]
+            cands = [cands[i] for i in _sample_sorted(rng, len(cands), cap)]
         # checked after the sample is drawn, so the random stream stays put
         if not pk.admits(item, j):
             continue
@@ -454,19 +500,32 @@ def _best_spot(pk: _Packing, item: int, bins: Sequence[int], rng: random.Random,
                 continue
             # item_tail from the same per-orientation constants
             base = cz * z
-            if com is not None:
+            if com is None:
+                for k, dims, zc, _, _, xm, ym, zm in shapes:
+                    if x <= xm and y <= ym and z <= zm:
+                        tail = base + zc
+                        if bound is None or tail < bound:
+                            add((tail, j, k, dims, x, y, z))
+            else:
                 x2, y2 = 2 * qx * x, 2 * qy * y
-            for k, dims, zc, ax, by in shapes:
-                if x + dims[0] <= L and y + dims[1] <= W and z + dims[2] <= H:
-                    tail = base + zc
-                    if com is not None:
-                        tail += cx * abs(x2 + ax) + cy * abs(y2 + by)
-                    if bound is None or tail < bound:
-                        spots.append((tail, len(spots), j, k, dims, x, y, z))
-    spots.sort()
-    for tail, _, j, k, dims, x, y, z in spots:
+                for k, dims, zc, ax, by, xm, ym, zm in shapes:
+                    if x <= xm and y <= ym and z <= zm:
+                        tail = base + zc + cx * abs(x2 + ax) + cy * abs(y2 + by)
+                        if bound is None or tail < bound:
+                            add((tail, j, k, dims, x, y, z))
+    # stable, so equal tails stay in enumeration order
+    spots.sort(key=_TAIL)
+    packed = pk.bins
+    for spot in spots:
+        _, j, _, dims, x, y, z = spot
+        a, b, c = dims
+        # fits' own first test, here without the call
+        bl = packed[j].blocker
+        if (bl is not None and x < bl[5] and bl[2] < x + a and y < bl[6] and bl[3] < y + b
+                and z < bl[7] and bl[4] < z + c):
+            continue
         if pk.fits(item, j, dims, x, y, z):
-            return (tail, j, k, dims, x, y, z)
+            return spot
     return None
 
 
@@ -497,6 +556,8 @@ def _move_reinsert(pk: _Packing, rng: random.Random, cap: int, different_bin: bo
 # it never reads, to one reindex on acceptance. With no negative tail rate,
 # the moved items' least tails at their new heights bound the new tail from
 # below, and a move that cannot get under the current tail is not tried.
+# least_tail_at takes what is left of the current tail as its bound, so an
+# orientation that could not be accepted is never checked.
 
 def _move_swap(pk: _Packing, rng: random.Random, items: Sequence[int]) -> bool:
     if len(items) < 2:
@@ -511,15 +572,20 @@ def _move_swap(pk: _Packing, rng: random.Random, items: Sequence[int]) -> bool:
         return False
     pk.lift(i)
     pk.lift(o)
+    # the two new tails must sum under before - pk.tail; so, with no negative
+    # rate, i's must be under that less o's least tail at its new height
+    bound = (before - pk.tail - ctx.cz * (si[1][4] + ctx.min_c[o])
+             if ctx.tail_floor else None)
     placed = []
     for item, (j, (_, _, x, y, z, *_), _) in ((i, so), (o, si)):
-        got = pk.least_tail_at(item, j, x, y, z)
+        got = pk.least_tail_at(item, j, x, y, z, bound)
         if got is None:
             break
         tail, k, (a, b, c) = got
         pk.put(item, j, (item, k, x, y, z, x + a, y + b, z + c), tail)
         placed.append(item)
-    if len(placed) == 2 and pk.tail < before:
+        bound = before - pk.tail
+    if len(placed) == 2:
         pk.reindex(((i, si), (o, so)))
         return True
     for item in reversed(placed):
@@ -539,9 +605,9 @@ def _move_reorient(pk: _Packing, rng: random.Random, items: Sequence[int]) -> bo
     if ctx.tail_floor and ctx.cz * (z + ctx.min_c[item]) >= old_tail:
         return False
     pk.lift(item)
-    best = pk.least_tail_at(item, j, x, y, z)
     # the item's tail is the only one that changes
-    if best is not None and best[0] < old_tail:
+    best = pk.least_tail_at(item, j, x, y, z, old_tail)
+    if best is not None:
         tail, k, (a, b, c) = best
         pk.put(item, j, (item, k, x, y, z, x + a, y + b, z + c), tail)
         pk.reindex(((item, saved),))

@@ -148,10 +148,10 @@ def check(instance: Instance, solution: PackingSolution) -> ViolationReport:
     bin_of = {p.item: p.bin for p in solution.placements}
     if instance.affinities.negative:
         neg = instance.affinities.negative
+        cat = [it.category for it in instance.items]
         for i in range(m):
             for k in range(i + 1, m):
-                pair = tuple(sorted((instance.items[i].category, instance.items[k].category)))
-                if pair in neg and bin_of[i] == bin_of[k]:
+                if bin_of[i] == bin_of[k] and (min(cat[i], cat[k]), max(cat[i], cat[k])) in neg:
                     out.append(Violation(NEGATIVE_AFFINITY, (i, k), Fraction(1)))
     if instance.affinities.positive:
         for a, b in sorted(instance.affinities.positive):
@@ -159,8 +159,11 @@ def check(instance: Instance, solution: PackingSolution) -> ViolationReport:
             ib = [it.index for it in instance.items_of_category(b)]
             for i in ia:
                 for k in ib:
-                    if i < k and bin_of[i] != bin_of[k]:
-                        out.append(Violation(POSITIVE_AFFINITY, (i, k), Fraction(1)))
+                    # each item pair once: a pair within one category
+                    # meets itself as (i, k) and (k, i)
+                    if bin_of[i] != bin_of[k] and (a != b or i < k):
+                        out.append(Violation(POSITIVE_AFFINITY, (min(i, k), max(i, k)),
+                                             Fraction(1)))
 
     if instance.eta is not None:
         eta = instance.eta
@@ -231,21 +234,22 @@ def objectives(instance: Instance, solution: PackingSolution
     m = instance.m
     L, W, H = instance.bin.L, instance.bin.W, instance.bin.H
     o1 = solution.bins_used
-    o2 = Fraction(0)
-    for p in solution.placements:
-        _, _, zdim = effective_dims(instance.items[p.item], p.k)
-        o2 += Fraction(p.z + zdim, m * H)
+    dims = [effective_dims(instance.items[p.item], p.k) for p in solution.placements]
+    # o2 = sum(z + c) / (m H)
+    o2 = Fraction(sum(p.z + c for p, (_, _, c) in zip(solution.placements, dims)), m * H)
 
     o3: Optional[Fraction] = None
     if instance.com_target is not None:
+        # with lt = px / qx, the bin-local x center is ((2x + a) mod 2L) / 2 and
+        # |center - lt| = |((2x + a) mod 2L) qx - 2 px| / (2 qx); likewise for
+        # y, which needs no mod. Both sums are integers.
         lt, wt = instance.com_target
-        sx = Fraction(0)
-        sy = Fraction(0)
-        for p in solution.placements:
-            xdim, ydim, _ = effective_dims(instance.items[p.item], p.k)
-            cx = (Fraction(p.x) + Fraction(xdim, 2)) % L
-            cy = Fraction(p.y) + Fraction(ydim, 2)
-            sx += abs(cx - lt)
-            sy += abs(cy - wt)
-        o3 = Fraction(1, m) * (sx / L + sy / W)
+        px, qx = lt.numerator, lt.denominator
+        py, qy = wt.numerator, wt.denominator
+        sx = sy = 0
+        for p, (a, b, _) in zip(solution.placements, dims):
+            sx += abs((2 * p.x + a) % (2 * L) * qx - 2 * px)
+            sy += abs((2 * p.y + b) * qy - 2 * py)
+        # o3 = (sx / (2 qx L) + sy / (2 qy W)) / m
+        o3 = Fraction(sx * qy * W + sy * qx * L, 2 * qx * qy * m * L * W)
     return o1, o2, o3

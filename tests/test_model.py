@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from binpack3d import (
     Affinities,
@@ -329,6 +329,8 @@ def model_flags(inst: Instance, sol: PackingSolution, reductions: bool) -> bool:
 class TestValidatorAgreement:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 2 ** 32 - 1), moves=st.integers(0, 2))
+    # a positive pair whose lower category holds the higher item index
+    @example(seed=637, moves=2)
     def test_explicit_relpos_triples(self, seed, moves):
         """With explicit avoid and favour triples, the validator accepts a
         heuristic solution, or one with up to `moves` items moved against a

@@ -34,7 +34,8 @@ from binpack3d.solver import annealer, config, heuristic
 from binpack3d.solver.config import NoSolution
 from binpack3d.solver.heuristic import (CANDIDATE_CAP, _Bin, _Ctx, _Packing, _best_spot,
                                         _construct, _local_search, _move_reinsert,
-                                        _move_reorient, _move_swap, _order_blocks)
+                                        _move_reorient, _move_swap, _order_blocks,
+                                        _sample_sorted)
 from binpack3d.validate import check, objectives
 
 from helpers import enumerate_feasible, oracle_instance, solvable_instance
@@ -759,6 +760,34 @@ class TestBestSpot:
         assert spot[1:] == (0, 1, (1, 1, 1), 1, 1, 1)
 
 
+class TestSampleSorted:
+    # sample picks from a pool up to a set size of 21 for k <= 5 (then 85
+    # for k = 6, 277 for k = 48) and from a set of taken indices above it
+    @pytest.mark.parametrize("n,k", [
+        (1, 1), (6, 5), (21, 5), (22, 5), (300, 5),
+        (85, 6), (86, 6),
+        (49, CANDIDATE_CAP), (200, CANDIDATE_CAP), (277, CANDIDATE_CAP),
+        (278, CANDIDATE_CAP), (1000, CANDIDATE_CAP),
+    ])
+    def test_same_draw_as_sample(self, n, k):
+        """sorted(rng.sample(range(n), k)) and the same random stream after."""
+        for seed in range(40):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert _sample_sorted(rng, n, k) == sorted(ref.sample(range(n), k))
+            assert rng.getstate() == ref.getstate()
+
+
+def reference_least_tail(pk, item, j, x, y, z):
+    """can_place on every orientation at the spot, keeping the first of least tail."""
+    best = None
+    for shape in pk.ctx.shapes[item]:
+        if can_place(pk, item, j, shape[1], x, y, z):
+            tail = pk.ctx.item_tail(shape, x, y, z)
+            if best is None or tail < best[0]:
+                best = (tail, shape[0], shape[1])
+    return best
+
+
 def dense_packing(draw):
     """A random partial packing with weight caps, negative and positive
     affinities, avoid/favour triples, maybe a CoM target, and tail weights of
@@ -852,6 +881,30 @@ def reference_reorient(pk, rng, items):
         pk.remove(item)
     pk.place(item, *saved)
     return False
+
+
+class TestLeastTailAt:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bound(self, data):
+        """At placed items' spots and random ones: without a bound the first
+        orientation of least tail that fits; with one, that answer when its
+        tail is under the bound, else None."""
+        draw = data.draw
+        pk = dense_packing(draw)
+        ctx = pk.ctx
+        for item in sorted(pk.pos):
+            saved = pk.remove(item)
+            j, (_, _, x, y, z, *_), _ = saved
+            if draw(st.booleans()):
+                x, y, z = (draw(st.integers(0, d - 1)) for d in (ctx.L, ctx.W, ctx.H))
+            want = reference_least_tail(pk, item, j, x, y, z)
+            assert pk.least_tail_at(item, j, x, y, z) == want
+            bound = draw(st.integers(-2, 2).map(
+                lambda d: (0 if want is None else want[0]) + d))
+            assert pk.least_tail_at(item, j, x, y, z, bound) == (
+                want if want is not None and want[0] < bound else None)
+            pk.place(item, *saved)
 
 
 def bookkeeping(pk):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from binpack3d import (
     PackingSolution,
     Placement,
     SolverConfig,
+    effective_dims,
     solve_heuristic,
 )
 from binpack3d.validate import (
@@ -116,6 +118,24 @@ class TestCheck:
         sol = PackingSolution((place(0), place(1, bin=2, x=3)))
         assert check(inst, sol).by_rule(POSITIVE_AFFINITY)
 
+    def test_positive_affinity_split_lower_category_higher_index(self):
+        """The pair (1, 3) with item 0 in category 3 and item 1 in category 1:
+        the split is reported once, as the item pair (0, 1)."""
+        items = (Item(0, 1, 1, 1, 1, 3), Item(1, 1, 1, 1, 1, 1))
+        inst = Instance(items=items, bin=BinSpec(3, 3, 3, n=2),
+                        affinities=Affinities(positive=frozenset({(1, 3)})))
+        sol = PackingSolution((place(0), place(1, bin=2, x=3)))
+        assert [(v.rule, v.indices) for v in check(inst, sol).violations] == \
+            [(POSITIVE_AFFINITY, (0, 1))]
+
+    def test_positive_affinity_within_one_category(self):
+        """A self-pair (0, 0) reports each split item pair once."""
+        inst = Instance(items=unit_items(3), bin=BinSpec(3, 3, 3, n=2),
+                        affinities=Affinities(positive=frozenset({(0, 0)})))
+        sol = PackingSolution((place(0), place(1, bin=2, x=3), place(2, x=1)))
+        assert [v.indices for v in check(inst, sol).by_rule(POSITIVE_AFFINITY)] == \
+            [(0, 1), (1, 2)]
+
     @pytest.mark.parametrize("triples", [
         {"relpos_avoid": frozenset({(0, 1, 3)})},
         {"relpos_favour": frozenset({(0, 1, 1)})},
@@ -206,6 +226,40 @@ class TestObjectives:
         sol = PackingSolution((place(0), place(1)))
         with pytest.raises(ValueError, match="infeasible"):
             objectives(inst, sol)
+
+    def test_matches_fraction_reference(self):
+        """The integer sums equal the term-by-term Fraction definition on
+        heuristic solutions over several bins, with CoM targets in thirds and
+        halves."""
+        rng = random.Random(23)
+        checked = 0
+        for trial in range(12):
+            inst = solvable_instance(rng, features=("negative",) if trial % 2 else ())
+            inst = dataclasses.replace(inst, com_target=(
+                Fraction(rng.randint(0, 3 * inst.bin.L), 3),
+                Fraction(rng.randint(0, 2 * inst.bin.W), 2)))
+            result = solve_heuristic(inst, SolverConfig(iterations=10, seed=trial))
+            if result.best is None:
+                continue
+            assert objectives(inst, result.best) == reference_objectives(inst, result.best)
+            checked += 1
+        assert checked >= 8
+
+
+def reference_objectives(inst, sol):
+    """(o1, o2, o3) summed term by term in Fractions: o2 is the mean of
+    (z + c) / H, o3 the mean of |cx - lt| / L + |cy - wt| / W over the
+    bin-local item centers."""
+    m, (L, W, H) = inst.m, (inst.bin.L, inst.bin.W, inst.bin.H)
+    o2 = Fraction(0)
+    sx = sy = Fraction(0)
+    lt, wt = inst.com_target
+    for p in sol.placements:
+        a, b, c = effective_dims(inst.items[p.item], p.k)
+        o2 += Fraction(p.z + c, m * H)
+        sx += abs((p.x + Fraction(a, 2)) % L - lt)
+        sy += abs(p.y + Fraction(b, 2) - wt)
+    return sol.bins_used, o2, (sx / L + sy / W) / m
 
 
 class TestMirrorSymmetry:
