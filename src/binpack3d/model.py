@@ -37,7 +37,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     ALL_RELPOS,
@@ -253,14 +253,18 @@ def _category_item_pairs(instance: Instance,
     return sorted(out)
 
 
-def _plan(instance: Instance, reductions: bool) -> _Plan:
+def _plan(instance: Instance, reductions: bool,
+          table: Optional[dict[tuple[int, int], tuple[int, int]]] = None) -> _Plan:
+    """The reduction plan; table is relpos_masks(instance) when the caller
+    has already built it."""
     neg_item_pairs = tuple(_category_item_pairs(instance, instance.affinities.negative))
     pos_item_pairs = tuple(_category_item_pairs(instance, instance.affinities.positive))
     if not reductions:
         return _Plan(frozenset(), {}, neg_item_pairs, pos_item_pairs)
     eliminated = frozenset(neg_item_pairs) if instance.n >= 2 else frozenset()
-    relpos = {pair: masks for pair, masks in relpos_masks(instance).items()
-              if pair not in eliminated}
+    if table is None:
+        table = relpos_masks(instance)
+    relpos = {pair: masks for pair, masks in table.items() if pair not in eliminated}
     return _Plan(eliminated, relpos, neg_item_pairs, pos_item_pairs)
 
 
@@ -680,7 +684,8 @@ def encode_solution(instance: Instance, solution: PackingSolution, *,
     Raises ValueError when two placed boxes sharing a bin admit no separating
     axis (overlap) or an orientation is not in the item's non-redundant set.
     """
-    plan = _plan(instance, reductions)
+    relpos = relpos_masks(instance)
+    plan = _plan(instance, reductions, relpos)
     n, m = instance.n, instance.m
     L = instance.bin.L
     by_item: dict[int, object] = {}
@@ -721,7 +726,6 @@ def encode_solution(instance: Instance, solution: PackingSolution, *,
     # position; an avoided one is taken only when no other is valid), so an
     # assignment is violation-free in the reduced model iff it is in the
     # explicit-row one
-    relpos = relpos_masks(instance)
     for i in range(m):
         for k in range(i + 1, m):
             pair = (i, k)

@@ -209,15 +209,21 @@ def _anneal_run(instance: Instance, model: QuadraticModel, rng: random.Random,
     return best_values
 
 
+def _prepare(instance: Instance, config: SolverConfig, checkpoints: None
+             ) -> tuple[Instance, QuadraticModel]:
+    return instance, build_model(instance, config.weights)
+
+
+def _run(prepared: tuple[Instance, QuadraticModel], rng: random.Random, stop: Stop):
+    instance, model = prepared
+    values = _anneal_run(instance, model, rng, stop)
+    if values is None:
+        raise NoSolution("annealer found no violation-free assignment")
+    return _decode(model, values), None
+
+
 def solve_annealer(instance: Instance, config: SolverConfig) -> SolveResult:
     """Penalty annealing over the compiled model, config.runs times. The
     reported energy is the weighted objective of the decoded placements (the
     raw assignment may leave slack in the deviation variables)."""
-
-    def run(model: QuadraticModel, rng: random.Random, stop: Stop):
-        values = _anneal_run(instance, model, rng, stop)
-        if values is None:
-            raise NoSolution("annealer found no violation-free assignment")
-        return _decode(model, values), None
-
-    return run_backend(instance, config, lambda: build_model(instance, config.weights), run)
+    return run_backend(instance, config, _prepare, _run)

@@ -3,6 +3,8 @@ seeded backends."""
 
 from __future__ import annotations
 
+import atexit
+import itertools
 import math
 import os
 import random
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from numbers import Real
-from typing import Any, Callable, NoReturn, Optional, Union
+from typing import Any, Callable, Iterable, NoReturn, Optional, Sequence, Union
 
 from ..core import Instance, PackingSolution, _require_ints
 from ..validate import objectives
@@ -96,14 +98,14 @@ Stop = Callable[[int], bool]
 
 
 class _Taken(Exception):
-    """Raised by a run's stop in the caller once another slot has sent that run."""
+    """Raised by a run's stop once the run is no longer wanted: in the caller,
+    another slot has sent it; in a worker, a new job or EOF is waiting."""
 
 
 def _stop(config: SolverConfig, started: float, turn: int,
           taken: Optional[Callable[[], bool]] = None) -> Stop:
     """A slot's run number turn (from 0) stops by started + (turn + 1) * time_limit.
-    With taken, each call first raises _Taken if taken() says the run has
-    arrived from another slot."""
+    With taken, each call first raises _Taken if taken() says so."""
     if config.iterations is not None:
         done: Stop = lambda iters: iters >= config.iterations
     else:
@@ -136,157 +138,322 @@ def _order(slot: int, runs: int, slots: int, hedge: bool) -> list[int]:
     return own + [r for r in range(runs) if r % slots != slot] if hedge else own
 
 
-def _error_payload(exc: BaseException) -> bytes:
-    """exc pickled as a child's (None, error) message, or a RuntimeError with
-    its traceback text when exc does not survive a pickle round trip."""
+# prepare(instance, config, checkpoints) -> prepared, once per solve and slot
+Prepare = Callable[[Instance, SolverConfig, Optional[Sequence[int]]], Any]
+# run(prepared, rng, stop) -> (placements, checkpoint energies or None)
+Run = Callable[[Any, random.Random, Stop],
+               tuple[PackingSolution, Optional[tuple[Fraction, ...]]]]
+
+
+def _outcome(run: Run, prepared: Any, config: SolverConfig, r: int, stop: Stop) -> Any:
+    """Run r's (placements, checkpoints), or the NoSolution it raised."""
+    try:
+        return run(prepared, random.Random(mix_seed(config.seed, r)), stop)
+    except NoSolution as exc:
+        return exc
+
+
+def _error_payload(job: int, exc: BaseException) -> bytes:
+    """exc pickled as a worker's (job, None, error) message, or a RuntimeError
+    with its traceback text when exc does not survive a pickle round trip."""
     import pickle
     import traceback
 
     try:
-        data = pickle.dumps((None, exc))
+        data = pickle.dumps((job, None, exc))
         pickle.loads(data)
         return data
     except Exception:
         text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-        return pickle.dumps((None, RuntimeError(
+        return pickle.dumps((job, None, RuntimeError(
             f"a run in a worker process raised an exception that cannot be pickled:\n{text}")))
 
 
-def _child(one: Callable[[int], Any], rs: list[int], wfd: int) -> NoReturn:
-    """In a forked child: send one(r) for each r of rs as a pickled (r,
-    outcome) message, as soon as it is made, or the exception that stopped
-    them, then exit. A message is its length (8 bytes) and its pickle."""
+def _frame(data: bytes) -> bytes:
+    """A message on a pipe: its length (8 bytes) and its bytes."""
+    return len(data).to_bytes(8, "little") + data
+
+
+def _read(fd: int, size: int) -> bytes:
+    """size bytes from a blocking fd, fewer only at EOF."""
+    chunks = []
+    while size:
+        chunk = os.read(fd, size)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _write(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _serve(jobs: int, out: int) -> NoReturn:
+    """A worker's life, in the forked child: read a job from the jobs pipe,
+    acknowledge it with (job, None, None), prepare, then make the job's runs
+    in its order, sending each (job, r, outcome) to the out pipe as it ends.
+    Each run's stop polls the jobs pipe, so a new job or EOF abandons the run
+    in progress. EOF ends the worker, and so does an exception, which is sent
+    first as (job, None, error)."""
     import pickle
+    import select
 
+    job = None
     try:
-        with open(wfd, "wb") as pipe:
-            def send(data: bytes) -> None:
-                pipe.write(len(data).to_bytes(8, "little") + data)
-                pipe.flush()
-
-            try:
-                for r in rs:
-                    send(pickle.dumps((r, one(r))))
-            except BaseException as exc:  # also KeyboardInterrupt: the caller raises it
-                send(_error_payload(exc))
+        # Ctrl-C reaches the whole process group; the caller handles it
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        poller = select.poll()
+        poller.register(jobs, select.POLLIN)
+        waiting = lambda: bool(poller.poll(0))
+        while len(head := _read(jobs, 8)) == 8:
+            job, (prepare, run, instance, config, checkpoints, started, slots), order = \
+                pickle.loads(_read(jobs, int.from_bytes(head, "little")))
+            _write(out, _frame(pickle.dumps((job, None, None))))
+            prepared = prepare(instance, config, checkpoints)
+            for r in order:
+                try:
+                    outcome = _outcome(run, prepared, config, r,
+                                       _stop(config, started, r // slots, waiting))
+                except _Taken:
+                    break
+                _write(out, _frame(pickle.dumps((job, r, outcome))))
+    except BaseException as exc:  # also KeyboardInterrupt: the caller raises it
+        if job is not None:
+            _write(out, _frame(_error_payload(job, exc)))
     finally:
-        # never return into the caller's stack; a child that sent too little
-        # is reported by the caller
+        # never return into the caller's stack
         os._exit(0)
 
 
-def _fan_out(one: Callable[..., Any], runs: int, slots: int, hedge: bool) -> list:
-    """[one(r) for r in range(runs)], spread over slots: slot 0 in this
-    process, the others in forked children, which see the caller's state
-    without pickling it. Slot s makes _order(s, ...): its own runs s, s +
-    slots, ..., then, with hedge, the others too, so that a slot whose CPU
-    stalls is overtaken. Only a run whose outcome does not depend on who
-    makes it or when may be hedged. This process takes each run from
-    whichever slot ends it first, abandoning its own copy (one(r, taken)
-    polls the pipes). An exception raised in a child is raised here. No
-    child outlives the call."""
+class _Worker:
+    """A forked process that makes runs for this process's solves (_serve).
+    This side holds the write end of its jobs pipe and the read end of its
+    out pipe, both non-blocking."""
+
+    def __init__(self) -> None:
+        jobs_r, self.jobs = os.pipe()
+        self.out, out_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (jobs_r, self.jobs, self.out, out_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            os.close(self.jobs)
+            os.close(self.out)
+            _serve(jobs_r, out_w)
+        os.close(jobs_r)
+        os.close(out_w)
+        os.set_blocking(self.jobs, False)
+        os.set_blocking(self.out, False)
+        self.buf = bytearray()       # bytes read but not yet unpickled
+        self.sent = self.acked = 0   # the last job sent to it, and acknowledged
+        self.alive = True            # False once it hit EOF or sent a bad message
+
+    def receive(self) -> list[tuple[int, int, Any]]:
+        """The (job, r, outcome) messages that have arrived, without waiting.
+        An acknowledgement only sets acked."""
+        import pickle
+
+        try:
+            while data := os.read(self.out, 1 << 16):
+                self.buf += data
+            self.alive = False
+        except BlockingIOError:
+            pass
+        got = []
+        buf = self.buf
+        while len(buf) >= 8:
+            size = 8 + int.from_bytes(buf[:8], "little")
+            if len(buf) < size:
+                break
+            try:
+                job, r, outcome = pickle.loads(buf[8:size])
+            except Exception:  # not a message a worker writes
+                self.alive = False
+                break
+            del buf[:size]
+            if r is None and outcome is None:
+                self.acked = job
+            else:
+                got.append((job, r, outcome))
+        return got
+
+    def send(self, job: int, data: bytes) -> None:
+        """Write a job; while its pipe is full, read what the worker sends
+        meanwhile (all from earlier jobs), so that neither side blocks the
+        other."""
+        import select
+
+        view = memoryview(_frame(data))
+        while view:
+            try:
+                view = view[os.write(self.jobs, view):]
+            except BlockingIOError:
+                select.select([self.out], [self.jobs], [])
+                self.receive()
+        self.sent = job
+
+    def kill(self) -> None:
+        os.close(self.jobs)
+        os.close(self.out)
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+    def reap(self) -> None:
+        try:
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:  # someone else's waitpid(-1) took it
+            pass
+
+
+# The run workers of this process: forked the first time a solve needs them,
+# reused by every later solve, and killed by close_pool (at exit, or when a
+# fanned solve raises). Worker i serves slot i + 1.
+_workers: list[_Worker] = []
+_job_ids = itertools.count(1)
+
+
+def close_pool() -> None:
+    """Kill and reap every run worker; the next fanned solve forks new ones."""
+    workers = list(_workers)
+    _workers.clear()
+    for w in workers:
+        w.kill()
+    for w in workers:
+        w.reap()
+
+
+def _forget() -> None:
+    """In a forked child: drop the parent's workers and close this process's
+    copies of their pipes, so that each worker sees EOF once the process
+    that owns it exits."""
+    for w in _workers:
+        os.close(w.jobs)
+        os.close(w.out)
+    _workers.clear()
+
+
+atexit.register(close_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget)
+
+
+def _ready(count: int) -> list[_Worker]:
+    """The pool's first count workers, forking what is missing. A worker
+    that hit EOF, sent a bad message or has not acknowledged its last job is
+    killed and replaced; what the others sent for earlier jobs is dropped."""
+    stale = []
+    for w in _workers[:count]:
+        w.receive()
+        if not w.alive or w.acked != w.sent:
+            stale.append(w)
+    for w in stale:
+        # out of the list before the next fork, whose _forget closes the list's pipes
+        _workers.remove(w)
+        w.kill()
+    for w in stale:
+        w.reap()
+    while len(_workers) < count:
+        _workers.append(_Worker())
+    return _workers[:count]
+
+
+def _fan_out(job: tuple, runs: int, slots: int, hedge: bool) -> list:
+    """[outcome of run r for r in range(runs)], spread over slots: slot 0 in
+    this process, slot s in worker s - 1, which gets the job (prepare, run,
+    instance, config, checkpoints, start, slots) and prepares for itself in
+    parallel with this process. Slot s makes _order(s, ...): its own runs
+    s, s + slots, ..., then, with hedge, the others too, so that a slot
+    whose CPU stalls is overtaken. Only a run whose outcome does not depend
+    on who makes it or when may be hedged. This process takes each run from
+    whichever slot ends it first, abandoning its own copy (its stop polls
+    the workers). An exception raised in a worker is raised here; any
+    exception kills and reaps every worker before it propagates."""
     # imported here, so that a solve with one slot never loads them (0.4 MB)
     import pickle
     import select
 
+    prepare, run, instance, config, checkpoints, started, _ = job
     outcomes: dict[int, Any] = {}
-    children: list[int] = []
-    pending: dict[int, bytearray] = {}  # read end -> bytes not yet unpickled
-    owns: dict[int, list[int]] = {}     # read end -> its child's own runs
 
     def receive(timeout: Optional[float]) -> None:
-        """Take in what the children have sent, waiting up to timeout
-        seconds (None: as long as it takes) for the first of it."""
-        if not pending:
-            return
-        ready, _, _ = select.select(list(pending), [], [], timeout)
+        """Take in what the workers have sent for this job, waiting up to
+        timeout seconds (None: as long as it takes) for the first of it."""
+        ready, _, _ = select.select(live, [], [], timeout)
         for fd in ready:
-            data = os.read(fd, 1 << 16)
-            if not data:
-                del pending[fd]
-                if any(r not in outcomes for r in owns[fd]):
-                    raise RuntimeError(f"the worker process of runs {owns[fd]} "
-                                       "ended without a result")
-                continue
-            buf = pending[fd]
-            buf += data
-            while len(buf) >= 8:
-                size = 8 + int.from_bytes(buf[:8], "little")
-                if len(buf) < size:
-                    break
-                r, outcome = pickle.loads(buf[8:size])
-                del buf[:size]
+            s, w = live[fd]
+            for sent_for, r, outcome in w.receive():
+                if sent_for != jid:
+                    continue
                 if r is None:
                     raise outcome
                 outcomes.setdefault(r, outcome)
+            if not w.alive:
+                del live[fd]
+                own = list(range(s, runs, slots))
+                if any(r not in outcomes for r in own):
+                    raise RuntimeError(f"the worker process of runs {own} "
+                                       "ended without a result")
 
     def taken(r: int) -> bool:
         receive(0)
         return r in outcomes
 
     try:
-        for s in range(1, slots):
-            rfd, wfd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(rfd)
-                os.close(wfd)
-                raise
-            if pid == 0:
-                os.close(rfd)
-                _child(one, _order(s, runs, slots, hedge), wfd)
-            children.append(pid)
-            pending[rfd], owns[rfd] = bytearray(), list(range(s, runs, slots))
-            os.close(wfd)
+        workers = _ready(slots - 1)
+        jid = next(_job_ids)
+        for s, w in enumerate(workers, 1):
+            w.send(jid, pickle.dumps((jid, job, _order(s, runs, slots, hedge))))
+        live = {w.out: (s, w) for s, w in enumerate(workers, 1)}  # out pipe -> slot, worker
+        prepared = prepare(instance, config, checkpoints)
         for r in _order(0, runs, slots, hedge):
             if not taken(r):
                 try:
-                    outcomes[r] = one(r, partial(taken, r))
+                    outcomes[r] = _outcome(run, prepared, config, r,
+                                           _stop(config, started, r // slots,
+                                                 partial(taken, r)))
                 except _Taken:
                     pass
         while len(outcomes) < runs:
             receive(None)
         return [outcomes[r] for r in range(runs)]
-    finally:
-        for fd in owns:
-            os.close(fd)
-        for pid in children:
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
+    except BaseException:
+        close_pool()
+        raise
 
 
-def run_backend(instance: Instance, config: SolverConfig, prepare: Callable[[], Any],
-                run: Callable[[Any, random.Random, Stop],
-                              tuple[PackingSolution, Optional[tuple[Fraction, ...]]]]
-                ) -> SolveResult:
-    """prepare() once, then run(prepared, rng, stop) -> (placements,
-    checkpoint energies or None) config.runs times, spread over W = _slots(runs)
-    processes: slot s does runs s, s + W, ..., and in iteration mode then
-    the other slots' runs, as _fan_out says. Run r draws from
-    mix_seed(seed, r); in time mode it stops by start + (r // W + 1) *
-    time_limit, start taken before prepare(). Placements pass the validator
-    once, in run order and in this process, via objectives(); a rejected
-    run, or one raising NoSolution, is dropped."""
+def run_backend(instance: Instance, config: SolverConfig, prepare: Prepare, run: Run,
+                checkpoints: Optional[Sequence[int]] = None) -> SolveResult:
+    """prepare(instance, config, checkpoints) once per process, then
+    run(prepared, rng, stop) -> (placements, checkpoint energies or None)
+    config.runs times, spread over W = _slots(runs) processes: slot s does
+    runs s, s + W, ..., and in iteration mode then the other slots' runs, as
+    _fan_out says. prepare and run are module-level functions, so that a
+    worker can be sent them. Run r draws from mix_seed(seed, r); in time
+    mode it stops by start + (r // W + 1) * time_limit, start taken before
+    prepare(). Placements pass the validator once, in run order and in this
+    process, via objectives(); a rejected run, or one raising NoSolution, is
+    dropped."""
     started = time.monotonic()
-    prepared = prepare()
     slots = _slots(config.runs)
-
-    def one(r: int, taken: Optional[Callable[[], bool]] = None):
-        """Run r's (placements, checkpoints), or the NoSolution it raised."""
-        try:
-            return run(prepared, random.Random(mix_seed(config.seed, r)),
-                       _stop(config, started, r // slots, taken))
-        except NoSolution as exc:
-            return exc
-
-    # one slot runs each run just before its validator pass, as a sequential
-    # loop; a run's outcome depends on who makes it only through its deadline
-    outcomes = (map(one, range(config.runs)) if slots == 1
-                else _fan_out(one, config.runs, slots, hedge=config.iterations is not None))
+    if slots == 1:
+        # one slot runs each run just before its validator pass, as a
+        # sequential loop
+        prepared = prepare(instance, config, checkpoints)
+        outcomes: Iterable = (_outcome(run, prepared, config, r, _stop(config, started, r))
+                              for r in range(config.runs))
+    else:
+        # a run's outcome depends on who makes it only through its deadline
+        outcomes = _fan_out((prepare, run, instance, config, checkpoints, started, slots),
+                            config.runs, slots, hedge=config.iterations is not None)
     best: Optional[PackingSolution] = None
     best_energy: Optional[Fraction] = None
     run_log: list[Fraction] = []
@@ -296,7 +463,7 @@ def run_backend(instance: Instance, config: SolverConfig, prepare: Callable[[], 
         if isinstance(outcome, NoSolution):
             reason = str(outcome)
             continue
-        sol, checkpoints = outcome
+        sol, energies = outcome
         try:
             o1, o2, o3 = objectives(instance, sol)
         except ValueError as exc:
@@ -304,8 +471,8 @@ def run_backend(instance: Instance, config: SolverConfig, prepare: Callable[[], 
             continue
         energy = solution_energy(instance, o1, o2, o3, config.weights)
         run_log.append(energy)
-        if checkpoints is not None:
-            cp_runs.append(checkpoints)
+        if energies is not None:
+            cp_runs.append(energies)
         if best_energy is None or energy < best_energy:
             best = PackingSolution(sol.placements, o1=o1, o2=o2, o3=o3)
             best_energy = energy

@@ -675,38 +675,41 @@ def _order_blocks(ctx: _Ctx, instance: Instance) -> tuple[list[list[int]], list[
     return blocks, singles
 
 
+def _prepare(instance: Instance, config: SolverConfig, checkpoints: Optional[Sequence[int]]
+             ) -> tuple[_Ctx, list[list[int]], list[int], Optional[_Packing],
+                        Optional[Sequence[int]]]:
+    ctx = _Ctx(instance, config.weights)
+    blocks, singles = _order_blocks(ctx, instance)
+    # attempt 0 draws nothing from the run's rng, so every run builds
+    # the same packing: build it once and give each run a copy
+    first, _ = _construct(ctx, [i for block in blocks for i in block] + singles)
+    return ctx, blocks, singles, first, checkpoints
+
+
+def _run(prepared, rng: random.Random, stop: Stop):
+    ctx, blocks, singles, first, checkpoints = prepared
+    if first is not None:
+        pk = first.copy()
+    else:
+        for _ in range(RESTARTS):
+            shuffled = [list(b) for b in blocks]
+            for b in shuffled:
+                rng.shuffle(b)
+            rng.shuffle(shuffled)
+            loose = list(singles)
+            rng.shuffle(loose)
+            pk, failed = _construct(ctx, [i for block in shuffled for i in block] + loose)
+            if pk is not None:
+                break
+        else:
+            raise NoSolution(f"item {failed} fits in no bin within n={ctx.n}")
+    cp = _local_search(pk, rng, stop, checkpoints)
+    return pk.to_solution(), tuple(cp) if checkpoints else None
+
+
 def solve_heuristic(instance: Instance, config: SolverConfig,
                     checkpoints: Optional[Sequence[int]] = None) -> SolveResult:
     """Construction (block order, built once per solve and copied into each
     run, then up to RESTARTS shuffled orders) plus local search, config.runs
     times; checkpoints log energies at iterations."""
-
-    def prepare() -> tuple[_Ctx, list[list[int]], list[int], Optional[_Packing]]:
-        ctx = _Ctx(instance, config.weights)
-        blocks, singles = _order_blocks(ctx, instance)
-        # attempt 0 draws nothing from the run's rng, so every run builds
-        # the same packing: build it once and give each run a copy
-        first, _ = _construct(ctx, [i for block in blocks for i in block] + singles)
-        return ctx, blocks, singles, first
-
-    def run(prepared, rng: random.Random, stop: Stop):
-        ctx, blocks, singles, first = prepared
-        if first is not None:
-            pk = first.copy()
-        else:
-            for _ in range(RESTARTS):
-                shuffled = [list(b) for b in blocks]
-                for b in shuffled:
-                    rng.shuffle(b)
-                rng.shuffle(shuffled)
-                loose = list(singles)
-                rng.shuffle(loose)
-                pk, failed = _construct(ctx, [i for block in shuffled for i in block] + loose)
-                if pk is not None:
-                    break
-            else:
-                raise NoSolution(f"item {failed} fits in no bin within n={ctx.n}")
-        cp = _local_search(pk, rng, stop, checkpoints)
-        return pk.to_solution(), tuple(cp) if checkpoints else None
-
-    return run_backend(instance, config, prepare, run)
+    return run_backend(instance, config, _prepare, _run, checkpoints)

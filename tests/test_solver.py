@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import os
 import random
+import signal
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -38,7 +41,7 @@ from binpack3d.solver.heuristic import (CANDIDATE_CAP, _Bin, _Ctx, _Packing, _be
                                         _sample_sorted)
 from binpack3d.validate import check, objectives
 
-from helpers import enumerate_feasible, oracle_instance, solvable_instance
+from helpers import enumerate_feasible, oracle_instance, solvable_instance, subprocess_env
 
 
 def cubes(count, side=1, mu=1, categories=None):
@@ -71,6 +74,33 @@ def pin_cpus(monkeypatch, cpus):
     """Make run_backend see this many usable CPUs, so a solve of runs >= cpus
     spreads its runs over that many slots."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.fixture(autouse=True)
+def fresh_pool():
+    """Each test starts and ends without run workers, so that what a test
+    monkeypatches reaches the workers its solves fork."""
+    config.close_pool()
+    yield
+    config.close_pool()
+
+
+def no_children():
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def exited(pid):
+    """Whether process pid has ended (a zombie counts as ended)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] in "ZX"
+    except FileNotFoundError:
+        return True
 
 
 class TestHeuristic:
@@ -257,8 +287,9 @@ class NeedsTwoArgs(Exception):
 
 
 class TestFanOut:
-    """run_backend spreads a solve's runs over forked worker processes: the
-    result may not depend on how many, and no worker outlives the solve."""
+    """run_backend spreads a solve's runs over forked worker processes that
+    later solves reuse: the result may not depend on how many, and no worker
+    outlives the process or an error."""
 
     def test_slots(self, monkeypatch):
         pin_cpus(monkeypatch, 2)
@@ -297,8 +328,9 @@ class TestFanOut:
         assert seen[0] == seen[1]
         if backend == "heuristic":
             assert len(seen[0][0].checkpoint_runs) == 3
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert not no_children()  # the worker outlives the solve
+        config.close_pool()
+        assert no_children()
 
     @pytest.mark.parametrize("error,raised,text", [
         (RunFailed("run in a worker failed"), RunFailed, "run in a worker failed"),
@@ -360,7 +392,8 @@ class TestFanOut:
     def test_stalled_worker_is_overtaken(self, monkeypatch):
         """In iteration mode the caller makes a run itself when the worker
         that owns it stalls, so the solve neither waits for the worker nor
-        changes its result; the stalled worker is killed and reaped."""
+        changes its result; closing the pool kills and reaps the stalled
+        worker."""
         inst, cfg = archetype(4, seed=3), SolverConfig(iterations=40, seed=3, runs=2)
         pin_cpus(monkeypatch, 1)
         alone = solve_heuristic(inst, cfg)
@@ -377,8 +410,8 @@ class TestFanOut:
         result = solve_heuristic(inst, cfg)
         assert time.monotonic() - t0 < 30
         assert result == alone
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        config.close_pool()
+        assert no_children()
 
     def test_stalled_caller_is_overtaken(self, monkeypatch):
         """In iteration mode a worker goes on to the caller's runs once its
@@ -403,8 +436,8 @@ class TestFanOut:
         result = solve_heuristic(inst, cfg)
         assert time.monotonic() - t0 < 2
         assert result == alone
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        config.close_pool()
+        assert no_children()
 
     def test_no_solution_in_a_worker(self, monkeypatch):
         """A run that raises NoSolution in a worker is dropped with its reason,
@@ -422,6 +455,248 @@ class TestFanOut:
         assert results[0] == results[1]
         assert results[0].best is None and results[0].run_log == ()
         assert results[0].infeasible_reason.startswith("run drew ")
+
+
+def count_forks(monkeypatch):
+    """A list that grows by one at each os.fork in this process."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def late_caller(monkeypatch, in_worker=None):
+    """Start each run in this process 0.1 s late, so that a worker has read
+    and acknowledged its job, and sent its own runs, before this process
+    could make them itself. in_worker(original, *args), if given, stands in
+    for config._outcome in the workers forked afterwards."""
+    caller, original = os.getpid(), config._outcome
+
+    def outcome(*args):
+        if os.getpid() == caller:
+            time.sleep(0.1)
+            return original(*args)
+        return in_worker(original, *args) if in_worker else original(*args)
+
+    monkeypatch.setattr(config, "_outcome", outcome)
+
+
+def pipe_inodes(pid="self"):
+    """The inodes of the pipes that process pid holds open."""
+    inodes = set()
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            link = os.readlink(f"/proc/{pid}/fd/{fd}")
+        except OSError:  # closed meanwhile
+            continue
+        if link.startswith("pipe:["):
+            inodes.add(int(link[6:-1]))
+    return inodes
+
+
+WORKER_SCRIPT = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from binpack3d import SolverConfig, archetype, solve_heuristic
+from binpack3d.solver import config
+solve_heuristic(archetype(4, seed=3), SolverConfig(iterations=20, seed=3, runs=2))
+print(*[w.pid for w in config._workers], flush=True)
+if sys.argv[1] == "long":
+    solve_heuristic(archetype(4, seed=3), SolverConfig(time_limit=60, seed=3, runs=2))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"),
+                    reason="needs fork and /proc")
+class TestPool:
+    """The run workers live across solves: forked once, sent one job per
+    solve, replaced when they stop answering, and gone when the process
+    exits or a fanned solve raises."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_one_fork_per_worker_for_many_solves(self, monkeypatch, cpus):
+        """100 fanned solves fork W - 1 workers in all. Time mode: the caller
+        waits for each worker's own runs, so every job is acknowledged."""
+        pin_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        inst = Instance(items=cubes(4), bin=BinSpec(2, 2, 2, n=2))
+        for seed in range(100):
+            result = solve_heuristic(inst, SolverConfig(time_limit=0.005, seed=seed,
+                                                        runs=cpus))
+            assert len(result.run_log) == cpus
+        assert len(forks) == cpus - 1 == len(config._workers)
+        config.close_pool()
+        assert no_children()
+
+    @pytest.mark.parametrize("backend", ["heuristic", "annealer"])
+    def test_back_to_back_solves(self, monkeypatch, tmp_path, backend):
+        """Three different instances solved in a row in iteration mode equal
+        their one-slot SolveResult and solution bytes at two slots. The
+        worker's hedge of run 0 is slowed to 5 ms an iteration, so each next
+        solve starts while the worker is still on that hedge; its stop sees
+        the new job and abandons the hedge, and the worker acknowledges the
+        job in time to be kept."""
+        if backend == "heuristic":
+            insts = [archetype(4, seed=3), archetype(11, seed=1), archetype(12, seed=2)]
+            cfg = SolverConfig(iterations=40, seed=3, runs=2)
+            solve_one = lambda inst: solve_heuristic(inst, cfg, checkpoints=[0, 10, 40])
+        else:
+            insts = [solvable_instance(random.Random(k), m=4) for k in range(3)]
+            cfg = SolverConfig(backend="annealer", iterations=1500, seed=2, runs=2)
+            solve_one = lambda inst: solve_annealer(inst, cfg)
+
+        def digest(result):
+            return solution_sha256(tmp_path, result, cfg.seed, backend, cfg.iterations)
+
+        pin_cpus(monkeypatch, 1)
+        alone = [(r, digest(r)) for r in map(solve_one, insts)]
+        log = tmp_path / "abandoned"
+
+        def slow_hedge(original, run, prepared, cfg, r, stop):
+            if r != 0:
+                return original(run, prepared, cfg, r, stop)
+
+            def slow(iters):
+                time.sleep(0.005)
+                return stop(iters)
+            try:
+                return original(run, prepared, cfg, r, slow)
+            except config._Taken:
+                with open(log, "a") as f:
+                    f.write("hedge\n")
+                raise
+
+        late_caller(monkeypatch, slow_hedge)
+        pin_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        shared = [(r, digest(r)) for r in map(solve_one, insts)]
+        assert shared == alone
+        assert len(forks) == 1
+        # the first two hedges were abandoned; the third is still running
+        deadline = time.monotonic() + 5
+        while not (log.exists() and log.read_text() == "hedge\n" * 2):
+            assert time.monotonic() < deadline, log.exists() and log.read_text()
+            time.sleep(0.01)
+
+    @pytest.mark.parametrize("fault", ["killed", "bad message", "no acknowledgement"])
+    def test_faulty_worker_is_replaced(self, monkeypatch, fault):
+        """Between two solves a worker is killed, its pipe yields a message
+        no worker writes, or it is stuck in a run that never polls (it does
+        not acknowledge the next job): the solve after that kills and reaps
+        it and forks a new one, and every result equals the one-slot one."""
+        inst, cfg = archetype(4, seed=3), SolverConfig(iterations=20, seed=3, runs=2)
+        pin_cpus(monkeypatch, 1)
+        alone = solve_heuristic(inst, cfg)
+
+        def stuck(original, *args):
+            time.sleep(60)
+        late_caller(monkeypatch, stuck if fault == "no acknowledgement" else None)
+        pin_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        assert solve_heuristic(inst, cfg) == alone
+        worker = config._workers[0]
+        junk = None
+        if fault == "killed":
+            os.kill(worker.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 5
+            while not exited(worker.pid):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        elif fault == "bad message":
+            rfd, junk = os.pipe()
+            os.write(junk, (5).to_bytes(8, "little") + b"junk!")
+            os.dup2(rfd, worker.out)
+            os.close(rfd)
+            os.set_blocking(worker.out, False)
+        else:
+            # it acknowledged the first job before it got stuck: kept for the second
+            assert solve_heuristic(inst, cfg) == alone
+            assert config._workers == [worker] and len(forks) == 1
+        try:
+            assert solve_heuristic(inst, cfg) == alone
+        finally:
+            if junk is not None:
+                os.close(junk)
+        assert len(forks) == 2 and len(config._workers) == 1
+        assert config._workers[0].pid != worker.pid
+        with pytest.raises(ChildProcessError):
+            os.waitpid(worker.pid, os.WNOHANG)
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RunFailed])
+    def test_error_in_the_caller_reaps_the_workers(self, monkeypatch, error):
+        """Ctrl-C or an exception in the caller's run kills and reaps every
+        worker before it propagates."""
+        pin_cpus(monkeypatch, 2)
+        inst, cfg = archetype(4, seed=3), SolverConfig(iterations=20, seed=3, runs=2)
+        caller, original, armed = os.getpid(), heuristic._local_search, []
+
+        def failing(*args):
+            if os.getpid() != caller:
+                time.sleep(1)  # so that the caller makes its own runs
+            elif armed:
+                raise error("in the caller")
+            return original(*args)
+
+        monkeypatch.setattr(heuristic, "_local_search", failing)
+        solve_heuristic(inst, cfg)
+        assert len(config._workers) == 1
+        armed.append(True)
+        with pytest.raises(error):
+            solve_heuristic(inst, cfg)
+        assert config._workers == []
+        assert no_children()
+
+    def test_forked_child_forgets_the_workers(self, monkeypatch):
+        """A process forked after the pool holds none of the pool's pipes,
+        and neither does a later worker of the pool itself, so that each
+        worker sees EOF once the process that owns it is gone."""
+        pin_cpus(monkeypatch, 3)
+        # time mode: the solve waits for each worker's run, so both have
+        # started (and run the at-fork hook) before their pipes are read
+        solve_heuristic(Instance(items=cubes(3), bin=BinSpec(2, 2, 2, n=2)),
+                        SolverConfig(time_limit=0.01, seed=0, runs=3))
+        first, second = config._workers
+        first_pipes = {os.fstat(first.jobs).st_ino, os.fstat(first.out).st_ino}
+        assert not pipe_inodes(second.pid) & first_pipes
+        pool_pipes = first_pipes | {os.fstat(second.jobs).st_ino,
+                                    os.fstat(second.out).st_ino}
+        rfd, wfd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            os.write(wfd, f"{len(config._workers)} {len(pipe_inodes() & pool_pipes)}".encode())
+            os._exit(0)
+        os.close(wfd)
+        os.waitpid(pid, 0)
+        with os.fdopen(rfd) as f:
+            assert f.read() == "0 0"
+
+    def test_workers_end_with_the_process(self):
+        """A process that solves with runs=2 and exits normally leaves none of
+        its workers behind."""
+        done = subprocess.run([sys.executable, "-c", WORKER_SCRIPT, "short"],
+                              env=subprocess_env(), capture_output=True, text=True,
+                              timeout=120, check=True)
+        pids = [int(p) for p in done.stdout.split()]
+        assert len(pids) == 1
+        assert all(exited(pid) for pid in pids)
+
+    def test_workers_of_a_killed_process_exit(self):
+        """A SIGKILLed parent's workers see EOF on their job pipe and exit
+        within 5 s, though the parent was 0.5 s into a 60 s time-mode solve
+        (the worker's stop polls the pipe every iteration)."""
+        proc = subprocess.Popen([sys.executable, "-c", WORKER_SCRIPT, "long"],
+                                env=subprocess_env(), stdout=subprocess.PIPE, text=True)
+        try:
+            pids = [int(p) for p in proc.stdout.readline().split()]
+            time.sleep(0.5)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdout.close()
+        assert len(pids) == 1
+        deadline = time.monotonic() + 5
+        while not all(exited(pid) for pid in pids):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
 
 
 class TestCanPlace:
