@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Union
 
@@ -50,8 +51,63 @@ def rational_from_json(value) -> Fraction:
     raise ValueError(f"expected a rational, got {value!r}")
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """doc as json.dumps(doc, indent=2, sort_keys=True) writes it, and a
+    newline. Indented output makes json use its pure-Python encoder, so the
+    containers are written here and only the scalars go through json."""
+    parts: list[str] = []
+    _emit(doc, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _emit(value, newline: str, parts: list[str]) -> None:
+    """Append value's JSON to parts; newline is a line break followed by
+    the indentation of value's own line."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        parts.append(_CONSTANTS[value])
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(json.dumps(value))
+    elif isinstance(value, (dict, list, tuple)):
+        if not value:
+            parts.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        if isinstance(value, dict):
+            parts.append("{" + inner)
+            for pos, key in enumerate(sorted(value)):
+                if pos:
+                    parts.append(sep)
+                parts.append(encode_basestring_ascii(key) + ": ")
+                _emit(value[key], inner, parts)
+            parts.append(newline + "}")
+        else:
+            parts.append("[" + inner)
+            for pos, entry in enumerate(value):
+                if pos:
+                    parts.append(sep)
+                _emit(entry, inner, parts)
+            parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _parse(path: PathLike):
+    """The JSON document in the file; ValueError also when it nests too
+    deeply for the parser."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _require_keys(doc: dict, allowed: set[str], required: set[str], what: str) -> None:
@@ -170,7 +226,7 @@ def save_instance(instance: Instance, path: PathLike) -> None:
 
 
 def load_instance(path: PathLike) -> Instance:
-    return instance_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return instance_from_dict(_parse(path))
 
 
 # ---------------------------------------------------------------------------
@@ -266,4 +322,4 @@ def save_solution(solution: PackingSolution, path: PathLike, **meta) -> None:
 
 
 def load_solution(path: PathLike) -> tuple[PackingSolution, dict]:
-    return solution_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return solution_from_dict(_parse(path))

@@ -153,6 +153,19 @@ def _outcome(run: Run, prepared: Any, config: SolverConfig, r: int, stop: Stop) 
         return exc
 
 
+def _checked(instance: Instance, r: int, outcome: Any) -> Any:
+    """Run r's outcome with the validator's verdict, taken in the slot that
+    made the run: (placements, checkpoints, (o1, o2, o3)), or a NoSolution
+    that says why the run has none."""
+    if isinstance(outcome, NoSolution):
+        return outcome
+    sol, energies = outcome
+    try:
+        return sol, energies, objectives(instance, sol)
+    except ValueError as exc:
+        return NoSolution(f"run {r} rejected by the validator: {exc}")
+
+
 def _error_payload(job: int, exc: BaseException) -> bytes:
     """exc pickled as a worker's (job, None, error) message, or a RuntimeError
     with its traceback text when exc does not survive a pickle round trip."""
@@ -195,7 +208,8 @@ def _write(fd: int, data: bytes) -> None:
 def _serve(jobs: int, out: int) -> NoReturn:
     """A worker's life, in the forked child: read a job from the jobs pipe,
     acknowledge it with (job, None, None), prepare, then make the job's runs
-    in its order, sending each (job, r, outcome) to the out pipe as it ends.
+    in its order, sending each (job, r, outcome) to the out pipe once the run
+    has ended and passed through the validator (_checked).
     Each run's stop polls the jobs pipe, so a new job or EOF abandons the run
     in progress. EOF ends the worker, and so does an exception, which is sent
     first as (job, None, error)."""
@@ -220,6 +234,7 @@ def _serve(jobs: int, out: int) -> NoReturn:
                                        _stop(config, started, r // slots, waiting))
                 except _Taken:
                     break
+                outcome = _checked(instance, r, outcome)
                 _write(out, _frame(pickle.dumps((job, r, outcome))))
     except BaseException as exc:  # also KeyboardInterrupt: the caller raises it
         if job is not None:
@@ -367,16 +382,18 @@ def _ready(count: int) -> list[_Worker]:
 
 
 def _fan_out(job: tuple, runs: int, slots: int, hedge: bool) -> list:
-    """[outcome of run r for r in range(runs)], spread over slots: slot 0 in
-    this process, slot s in worker s - 1, which gets the job (prepare, run,
-    instance, config, checkpoints, start, slots) and prepares for itself in
-    parallel with this process. Slot s makes _order(s, ...): its own runs
-    s, s + slots, ..., then, with hedge, the others too, so that a slot
-    whose CPU stalls is overtaken. Only a run whose outcome does not depend
-    on who makes it or when may be hedged. This process takes each run from
-    whichever slot ends it first, abandoning its own copy (its stop polls
-    the workers). An exception raised in a worker is raised here; any
-    exception kills and reaps every worker before it propagates."""
+    """[checked outcome of run r for r in range(runs)] (_checked), spread
+    over slots: slot 0 in the calling process, slot s in worker s - 1, which
+    gets the job (prepare, run, instance, config, checkpoints, start, slots)
+    and prepares for itself in parallel with the caller. Slot s makes
+    _order(s, ...): its own runs s, s + slots, ..., then, with hedge, the
+    others too, so that a slot whose CPU stalls is overtaken; each slot
+    passes the runs it makes through the validator. Only a run whose outcome
+    does not depend on who makes it or when may be hedged. The caller takes
+    each run from whichever slot ends it first, abandoning its own copy (its
+    stop polls the workers). An exception raised in a worker is raised in
+    the caller; any exception kills and reaps every worker before it
+    propagates."""
     # imported here, so that a solve with one slot never loads them (0.4 MB)
     import pickle
     import select
@@ -417,11 +434,11 @@ def _fan_out(job: tuple, runs: int, slots: int, hedge: bool) -> list:
         for r in _order(0, runs, slots, hedge):
             if not taken(r):
                 try:
-                    outcomes[r] = _outcome(run, prepared, config, r,
-                                           _stop(config, started, r // slots,
-                                                 partial(taken, r)))
+                    outcome = _outcome(run, prepared, config, r,
+                                       _stop(config, started, r // slots, partial(taken, r)))
                 except _Taken:
-                    pass
+                    continue
+                outcomes[r] = _checked(instance, r, outcome)
         while len(outcomes) < runs:
             receive(None)
         return [outcomes[r] for r in range(runs)]
@@ -432,24 +449,26 @@ def _fan_out(job: tuple, runs: int, slots: int, hedge: bool) -> list:
 
 def run_backend(instance: Instance, config: SolverConfig, prepare: Prepare, run: Run,
                 checkpoints: Optional[Sequence[int]] = None) -> SolveResult:
-    """prepare(instance, config, checkpoints) once per process, then
+    """prepare(instance, config, checkpoints) once per slot, then
     run(prepared, rng, stop) -> (placements, checkpoint energies or None)
     config.runs times, spread over W = _slots(runs) processes: slot s does
     runs s, s + W, ..., and in iteration mode then the other slots' runs, as
     _fan_out says. prepare and run are module-level functions, so that a
     worker can be sent them. Run r draws from mix_seed(seed, r); in time
     mode it stops by start + (r // W + 1) * time_limit, start taken before
-    prepare(). Placements pass the validator once, in run order and in this
-    process, via objectives(); a rejected run, or one raising NoSolution, is
-    dropped."""
+    prepare(). Each run's placements pass the validator once, via
+    objectives(), in the slot that made the run, right after it ends; a
+    rejected run, or one raising NoSolution, is dropped. The result is
+    assembled in run order."""
     started = time.monotonic()
     slots = _slots(config.runs)
     if slots == 1:
-        # one slot runs each run just before its validator pass, as a
+        # one slot validates each run before it starts the next, as a
         # sequential loop
         prepared = prepare(instance, config, checkpoints)
-        outcomes: Iterable = (_outcome(run, prepared, config, r, _stop(config, started, r))
-                              for r in range(config.runs))
+        outcomes: Iterable = (
+            _checked(instance, r, _outcome(run, prepared, config, r, _stop(config, started, r)))
+            for r in range(config.runs))
     else:
         # a run's outcome depends on who makes it only through its deadline
         outcomes = _fan_out((prepare, run, instance, config, checkpoints, started, slots),
@@ -459,16 +478,11 @@ def run_backend(instance: Instance, config: SolverConfig, prepare: Prepare, run:
     run_log: list[Fraction] = []
     cp_runs: list[tuple[Fraction, ...]] = []
     reason = None
-    for r, outcome in enumerate(outcomes):
+    for outcome in outcomes:
         if isinstance(outcome, NoSolution):
             reason = str(outcome)
             continue
-        sol, energies = outcome
-        try:
-            o1, o2, o3 = objectives(instance, sol)
-        except ValueError as exc:
-            reason = f"run {r} rejected by the validator: {exc}"
-            continue
+        sol, energies, (o1, o2, o3) = outcome
         energy = solution_energy(instance, o1, o2, o3, config.weights)
         run_log.append(energy)
         if energies is not None:

@@ -36,6 +36,9 @@ CANDIDATE_CAP = 48  # a reinsert tries at most this many corners per bin
 # separation mask -> the mask of the swapped pair: bit q moves to mirror_relpos(q)
 _MIRROR = [sum(1 << mirror_relpos(q) for q in RELPOS if mask >> q & 1)
            for mask in range(1 << (max(RELPOS) + 1))]
+# the side positions left, behind, right and front: a pair of boxes whose
+# footprints overlap takes none of them, only below (bit 3) or above (bit 6)
+_SIDE = sum(1 << q for q in (1, 2, 4, 5))
 _BOX_Z = itemgetter(4)  # a box's z
 _TAIL = itemgetter(0)  # a scored spot's or orientation's tail
 
@@ -69,6 +72,13 @@ class _Ctx:
             if rule not in mirrored:
                 mirrored[rule] = (_MIRROR[rule[0]], _MIRROR[rule[1]])
             self.rules.setdefault(k, {})[i] = mirrored[rule]
+        # items with a rule that a side-by-side pair can break: a favour or an
+        # avoided side position. Every other rule (an eta avoid of below or
+        # above) can break only in a stacked pair, which fits checks in its
+        # overlap scan.
+        self.side = frozenset(
+            i for i, rules in self.rules.items()
+            if any(required or allowed & _SIDE != _SIDE for allowed, required in rules.values()))
         # tail = w2 (z + c) / (m H) + w3 (|cx - lt| / (m L) + |cy - wt| / (m W)),
         # where cx = (2x + a) / 2 and lt = px / (2 qx) with qx the denominator
         # of 2 lt, so |cx - lt| / (m L) = |(2x + a) qx - px| / (2 m L qx);
@@ -249,28 +259,42 @@ class _Packing:
 
     def fits(self, item: int, j: int, dims, x: int, y: int, z: int) -> bool:
         """The position checks of an in-bounds box in bin j: no overlap and
-        the avoid/favour triples. The bin's blocker is tested first."""
+        the avoid/favour triples. The bin's blocker is tested first. One scan
+        finds the boxes whose footprint overlaps the new box's: each overlaps
+        it or is stacked above or below it, and a stacked pair's rule is
+        checked there. Only items in ctx.side scan again, for the rules of
+        side-by-side pairs."""
         bn = self.bins[j]
-        # no overlap <=> some relative position holds (separation mask != 0),
-        # so only pairs with avoid/favour triples need the mask itself
         x1, y1, z1 = x + dims[0], y + dims[1], z + dims[2]
         b = bn.blocker
         if (b is not None and x < b[5] and b[2] < x1 and y < b[6] and b[3] < y1
                 and z < b[7] and b[4] < z1):
             return False
-        for (o, k, ox, oy, oz, ox1, oy1, oz1) in bn.boxes:
-            if x < ox1 and ox < x1 and y < oy1 and oy < y1 and z < oz1 and oz < z1:
-                bn.blocker = (o, k, ox, oy, oz, ox1, oy1, oz1)
-                return False
         rules = self.ctx.rules.get(item)
-        if rules:
+        for (o, k, ox, oy, oz, ox1, oy1, oz1) in bn.boxes:
+            if x < ox1 and ox < x1 and y < oy1 and oy < y1:
+                if z < oz1 and oz < z1:
+                    bn.blocker = (o, k, ox, oy, oz, ox1, oy1, oz1)
+                    return False
+                if rules:
+                    rule = rules.get(o)
+                    if rule is not None:
+                        # core.separation_mask of a stacked pair: below or above
+                        mask = 8 if z1 <= oz else 64
+                        allowed, required = rule
+                        if not mask & allowed or mask & required != required:
+                            return False
+        if rules and item in self.ctx.side:
             for (o, _, ox, oy, oz, ox1, oy1, oz1) in bn.boxes:
                 rule = rules.get(o)
                 if rule is None:
                     continue
-                # core.separation_mask of the new box to box o
-                mask = ((x1 <= ox) << 1 | (y1 <= oy) << 2 | (z1 <= oz) << 3
-                        | (ox1 <= x) << 4 | (oy1 <= y) << 5 | (oz1 <= z) << 6)
+                # core.separation_mask of the new box to box o; without a
+                # side bit the pair is stacked and was checked above
+                mask = (x1 <= ox) << 1 | (y1 <= oy) << 2 | (ox1 <= x) << 4 | (oy1 <= y) << 5
+                if not mask:
+                    continue
+                mask |= (z1 <= oz) << 3 | (oz1 <= z) << 6
                 allowed, required = rule
                 if not mask & allowed or mask & required != required:
                     return False

@@ -252,6 +252,23 @@ class TestMalformedSolution:
         assert message in err
 
 
+class TestDeeplyNestedJson:
+    """A file of 100,000 nested "[" overflows the JSON parser's recursion:
+    each command that reads it exits 2 with a message, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["solve", "validate", "stats"])
+    def test_exits_2_with_message(self, capsys, tiny_instance, tmp_path, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        argv = {"solve": ["solve", "--instance", str(deep), "--iterations", "5"],
+                "validate": ["validate", "--instance", str(tiny_instance),
+                             "--solution", str(deep)],
+                "stats": ["stats", "--runlogs", str(deep)]}[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"{deep}: JSON nested too deeply" in err and "Traceback" not in err
+
+
 def json_paths(doc, prefix=()):
     """Every node of a JSON document as a key path; () is the root."""
     yield prefix

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from binpack3d import GenSpec, generate
 from binpack3d.core import BinSpec, Instance, Item, PackingSolution, Placement
 from binpack3d.fileio import (
+    _dump,
     instance_from_dict,
     instance_to_dict,
     load_instance,
@@ -142,3 +144,18 @@ class TestSolutionFormat:
         doc["placements"][0]["w"] = 1
         with pytest.raises(ValueError, match="placements"):
             solution_from_dict(doc)
+
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20)
+
+
+class TestDump:
+    @given(JSON_DOCS)
+    def test_matches_json_dumps(self, doc):
+        """The writer's bytes equal json.dumps(doc, indent=2, sort_keys=True)
+        and a newline: strings of any code point, every float (NaN and the
+        infinities too), empty and nested lists and objects."""
+        assert _dump(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"

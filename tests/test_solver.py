@@ -33,6 +33,7 @@ from binpack3d import (
 )
 from binpack3d import validate
 from binpack3d.fileio import save_solution
+from binpack3d.core import relpos_masks, separation_mask
 from binpack3d.solver import annealer, config, heuristic
 from binpack3d.solver.config import NoSolution
 from binpack3d.solver.heuristic import (CANDIDATE_CAP, _Bin, _Ctx, _Packing, _best_spot,
@@ -253,6 +254,8 @@ class TestRunDriver:
 
     @pytest.mark.parametrize("backend,iterations", [("heuristic", 20), ("annealer", 3000)])
     def test_validator_runs_once_per_run(self, monkeypatch, backend, iterations):
+        """One slot: the calls are counted in this process."""
+        pin_cpus(monkeypatch, 1)
         calls = []
         original = validate.check
         monkeypatch.setattr(validate, "check", lambda *a: calls.append(1) or original(*a))
@@ -262,15 +265,44 @@ class TestRunDriver:
         assert len(result.run_log) == 3
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("backend", ["heuristic", "annealer"])
+    def test_each_slot_validates_its_own_runs(self, monkeypatch, tmp_path, backend):
+        """Two slots in time mode, which hedges nothing: each run passes the
+        validator once, in the process that made it, so the four runs' calls
+        come from this process and the worker."""
+        pin_cpus(monkeypatch, 2)
+        log = tmp_path / "checks"
+        original = validate.check
+
+        def logged(*args):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return original(*args)
+
+        monkeypatch.setattr(validate, "check", logged)
+        inst = Instance(items=cubes(2), bin=BinSpec(2, 2, 2, n=1))
+        result = solve(inst, SolverConfig(backend=backend, time_limit=0.05, seed=7, runs=4))
+        assert len(result.run_log) == 4
+        pids = log.read_text().split()
+        assert len(pids) == 4
+        assert sorted(set(pids)) == sorted({str(os.getpid()), str(config._workers[0].pid)})
+
     def test_rejected_run_is_dropped_with_the_rule(self, monkeypatch):
         """Placements the validator rejects (both items at the origin) never
-        reach the result; the reason names the violated rule."""
+        reach the result; the reason names the violated rule. The result is
+        the same at one slot and at two, where run 1 is the worker's and is
+        validated in the slot that makes it."""
         monkeypatch.setattr(_Packing, "to_solution", lambda pk: PackingSolution(tuple(
             Placement(item=i, bin=1, k=1, x=0, y=0, z=0) for i in sorted(pk.pos))))
         inst = Instance(items=cubes(2), bin=BinSpec(2, 2, 2, n=1))
-        result = solve_heuristic(inst, SolverConfig(iterations=5, seed=0, runs=2))
+        results = []
+        for cpus in (1, 2):
+            pin_cpus(monkeypatch, cpus)
+            results.append(solve_heuristic(inst, SolverConfig(iterations=5, seed=0, runs=2)))
+        assert results[0] == results[1]
+        result = results[0]
         assert result.best is None and result.energy is None and result.run_log == ()
-        assert "rejected by the validator" in result.infeasible_reason
+        assert result.infeasible_reason.startswith("run 1 rejected by the validator")
         assert "Overlap" in result.infeasible_reason
 
 
@@ -743,6 +775,91 @@ class TestCanPlace:
                                               y=corners[i][1], z=corners[i][2])
                                     for i in range(2)))
         assert got == check(inst, sol).feasible
+
+
+def reference_pair_fits(inst, bn, item, dims, corner):
+    """fits from core's tables: no box of the bin overlaps the new one in its
+    half-open extent, and each pair's core.relpos_masks rule holds under
+    core.separation_mask."""
+    table = relpos_masks(inst)
+    for (o, _, ox, oy, oz, ox1, oy1, oz1) in bn.boxes:
+        if (corner[0] < ox1 and ox < corner[0] + dims[0] and corner[1] < oy1
+                and oy < corner[1] + dims[1] and corner[2] < oz1 and oz < corner[2] + dims[2]):
+            return False
+        own, other = (corner, dims), ((ox, oy, oz), (ox1 - ox, oy1 - oy, oz1 - oz))
+        (p0, d0), (p1, d1) = (own, other) if item < o else (other, own)
+        rule = table.get((min(item, o), max(item, o)))
+        if rule is not None:
+            mask = separation_mask(p0, d0, p1, d1)
+            allowed, required = rule
+            if not mask & allowed or mask & required != required:
+                return False
+    return True
+
+
+def stacked_only(rule):
+    """Whether a rule can break only in a stacked pair: it allows the side
+    positions left, behind, right and front, and favours nothing."""
+    allowed, required = rule
+    return not required and all(allowed >> q & 1 for q in (1, 2, 4, 5))
+
+
+class TestFitsManyBoxes:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        """A bin of several non-overlapping boxes, with eta avoids, avoided
+        side positions and favours: fits agrees with the reference on random
+        spots, and ctx.side holds exactly the items with a rule that is not
+        stacked-only."""
+        draw = data.draw
+        L, W, H = (draw(st.integers(2, 5)) for _ in range(3))
+        m = draw(st.integers(3, 10))
+        items = tuple(Item(index=i, l=draw(st.integers(1, min(L, 3))),
+                           w=draw(st.integers(1, min(W, 3))), h=draw(st.integers(1, min(H, 3))),
+                           mu=draw(st.integers(1, 9)), category=0) for i in range(m))
+        eta = draw(st.none() | st.sampled_from((Fraction(3, 2), Fraction(2), Fraction(4))))
+        derived = {(i, k) for i, k, _ in load_bearing_avoid(items, eta)} if eta else set()
+        pairs = [(i, k) for i in range(m) for k in range(i + 1, m)]
+        avoid = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 6)),
+                              max_size=8))
+        favour = draw(st.lists(st.tuples(st.sampled_from(pairs), st.integers(1, 6)),
+                               max_size=4, unique_by=lambda t: t[0]))
+        # a favoured pair takes no avoid triple, derived or drawn
+        avoided = derived | {pair for pair, _ in avoid}
+        inst = Instance(items=items, bin=BinSpec(L, W, H, n=1), eta=eta,
+                        relpos_avoid=frozenset((*pair, q) for pair, q in avoid),
+                        relpos_favour=frozenset((*pair, q) for pair, q in favour
+                                                if pair not in avoided))
+        ctx = _Ctx(inst, (1, 1, 1))
+        table = relpos_masks(inst)
+        for i in range(m):
+            rules = [rule for pair, rule in table.items() if i in pair]
+            assert (i in ctx.side) == any(not stacked_only(rule) for rule in rules)
+
+        pk = _Packing(ctx)
+        pk.bins.append(_Bin())
+        bn = pk.bins[0]
+
+        def spot(item):
+            k, dims = draw(st.sampled_from([s[:2] for s in ctx.shapes[item]
+                                            if s[1][0] <= L and s[1][1] <= W and s[1][2] <= H]))
+            return k, dims, tuple(draw(st.integers(0, b - d)) for b, d in zip((L, W, H), dims))
+
+        for item in draw(st.permutations(range(m)))[:draw(st.integers(1, m - 1))]:
+            if not any(s[1][0] <= L and s[1][1] <= W and s[1][2] <= H
+                       for s in ctx.shapes[item]):
+                continue
+            k, dims, corner = spot(item)
+            if reference_pair_fits(Instance(items=items, bin=inst.bin), bn, item, dims, corner):
+                place_at(pk, item, 0, k, dims, *corner)
+        free = [i for i in range(m) if i not in pk.pos and any(
+            s[1][0] <= L and s[1][1] <= W and s[1][2] <= H for s in ctx.shapes[i])]
+        for _ in range(draw(st.integers(1, 8)) if free else 0):
+            item = draw(st.sampled_from(free))
+            _, dims, corner = spot(item)
+            assert pk.fits(item, 0, dims, *corner) == \
+                reference_pair_fits(inst, bn, item, dims, corner)
 
 
 class TestConstruct:
