@@ -205,6 +205,9 @@ class _Bin:
 
 
 class _Packing:
+    # The oracle searches through this class too: what admits, fits, put,
+    # lift and to_solution accept is what it can reach, so a change to them
+    # changes the oracle as well.
     def __init__(self, ctx: _Ctx) -> None:
         self.ctx = ctx
         self.bins: list[_Bin] = []

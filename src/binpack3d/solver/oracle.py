@@ -3,9 +3,10 @@
 Enumerates item-to-bin maps, non-redundant orientations and every integer
 corner on the bin grid; the independent validator gets the final say on each
 complete layout, and the first lexicographic (o1, o2, o3) optimum found is
-returned. Deterministic by construction. Partial layouts are pruned on
-overlap, weight, affinity and relative-position conflicts plus an objective
-lower bound; none of these can exclude a strictly better completion.
+returned. Deterministic by construction. Partial layouts are placed through
+the heuristic's packing state, so they are pruned by its admits (weight cap,
+free volume, affinities) and fits (overlap, relative positions), plus an
+objective lower bound; none of these can exclude a strictly better completion.
 """
 
 from __future__ import annotations
@@ -13,18 +14,10 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from ..core import (
-    Instance,
-    PackingSolution,
-    Placement,
-    allowed_orientations,
-    effective_dims,
-    positive_groups,
-    relpos_masks,
-    separation_mask,
-)
+from ..core import Instance, PackingSolution
 from ..validate import objectives
 from .config import SolveResult, solution_energy
+from .heuristic import _Bin, _Ctx, _Packing
 
 
 # the largest instance the exhaustive search accepts
@@ -47,64 +40,37 @@ def solve_oracle(instance: Instance, weights=(1, 1, 1)) -> SolveResult:
         raise OracleCapError(f"n={instance.bin.n} exceeds oracle cap {MAX_BINS}")
 
     started = time.monotonic()
-    m = instance.m
-    L, W, H = instance.bin.L, instance.bin.W, instance.bin.H
-    n = instance.bin.n
-    max_weight = instance.bin.max_weight
-    mu = [it.mu for it in instance.items]
-    cat = [it.category for it in instance.items]
-    neg = instance.affinities.negative
+    m, n = instance.m, instance.bin.n
     has_com = instance.com_target is not None
-
-    group = positive_groups(instance.affinities, cat)
-    relpos = relpos_masks(instance)
-
-    orients = [
-        [(k, effective_dims(it, k)) for k in sorted(allowed_orientations(it))]
-        for it in instance.items
-    ]
-    min_height = [min(d[2] for _, d in orients[i]) for i in range(m)]
-    rest_min = [Fraction(sum(min_height[i:]), m * H) for i in range(m + 1)]
-
-    # placed: (item, bin, k, (x, y, z) bin-local, (a, b, c))
-    placed: list[tuple[int, int, int, tuple, tuple]] = []
+    # weighting o2 alone makes an item's tail z + c and D = m H, so pk.tail / D
+    # is the placed items' share of o2
+    ctx = _Ctx(instance, (0, 1, 0))
+    pk = _Packing(ctx)
+    pk.bins = [_Bin() for _ in range(n)]
+    # rest[i]: the least o2 tail, times D, that items i.. can add
+    rest = [sum(ctx.min_c[t] for t in range(i, m)) for i in range(m + 1)]
     best: dict = {"solution": None, "key": None}
 
-    def pair_ok(i: int, pi_xyz, pi_dims, k: int, pk_xyz, pk_dims) -> bool:
-        if i < k:
-            mask = separation_mask(pi_xyz, pi_dims, pk_xyz, pk_dims)
-            rule = relpos.get((i, k))
-        else:
-            mask = separation_mask(pk_xyz, pk_dims, pi_xyz, pi_dims)
-            rule = relpos.get((k, i))
-        if not mask:
-            return False
-        if rule is None:
-            return True
-        allowed, required = rule
-        return bool(mask & allowed) and mask & required == required
-
     def leaf() -> None:
-        placements = tuple(
-            Placement(item=i, bin=j, k=k, x=xyz[0] + (j - 1) * L, y=xyz[1], z=xyz[2])
-            for (i, j, k, xyz, _) in sorted(placed)
-        )
+        sol = pk.to_solution()
         try:
-            o1, o2, o3 = objectives(instance, PackingSolution(placements))
+            o1, o2, o3 = objectives(instance, sol)
         except ValueError:  # the validator rejects the layout
             return
         key = (o1, o2, o3 if o3 is not None else Fraction(0))
         if best["key"] is None or key < best["key"]:
             best["key"] = key
-            best["solution"] = PackingSolution(placements, o1=o1, o2=o2, o3=o3)
+            best["solution"] = PackingSolution(sol.placements, o1=o1, o2=o2, o3=o3)
 
-    def prune(opened: int, o2_lb: Fraction) -> bool:
+    def prune(opened: int, tail_lb: int) -> bool:
+        """tail_lb: a lower bound of the layout's o2, times D."""
         key = best["key"]
         if key is None:
             return False
         if opened > key[0]:
             return True
         if opened == key[0]:
+            o2_lb = Fraction(tail_lb, ctx.D)
             if o2_lb > key[1]:
                 return True
             # without an o3 term a tie in (o1, o2) cannot improve the key
@@ -112,51 +78,32 @@ def solve_oracle(instance: Instance, weights=(1, 1, 1)) -> SolveResult:
                 return True
         return False
 
-    def dfs(i: int, opened: int, loads: list[int], o2_partial: Fraction) -> None:
+    def dfs(i: int, opened: int) -> None:
         if i == m:
             leaf()
             return
-        if prune(opened, o2_partial + rest_min[i]):
-            return
-        g = group.get(cat[i])
-        locked = None
-        if g is not None:
-            for (pi, pj, _, _, _) in placed:
-                if group.get(cat[pi]) == g:
-                    locked = pj
-                    break
-        for j in range(1, min(opened + 1, n) + 1):
-            if locked is not None and j != locked:
+        # the bins in use are always 0 .. opened - 1, so at most one new one
+        for j in range(min(opened + 1, n)):
+            used = max(opened, j + 1)
+            if prune(used, pk.tail + rest[i]) or not pk.admits(i, j):
                 continue
-            if best["key"] is not None and max(opened, j) > best["key"][0]:
-                continue
-            if max_weight is not None and loads[j] + mu[i] > max_weight:
-                continue
-            if neg and any(
-                pj == j and (min(cat[i], cat[pi]), max(cat[i], cat[pi])) in neg
-                for (pi, pj, _, _, _) in placed
-            ):
-                continue
-            same_bin = [(pi, xyz, dims) for (pi, pj, _, xyz, dims) in placed if pj == j]
-            for k, (a, b, c) in orients[i]:
-                if a > L or b > W or c > H:
+            for shape in ctx.shapes[i]:
+                k, dims, _, _, _, xm, ym, zm = shape
+                if xm < 0 or ym < 0 or zm < 0:
                     continue
-                for z in range(0, H - c + 1):
-                    if prune(max(opened, j),
-                             o2_partial + Fraction(z + c, m * H) + rest_min[i + 1]):
+                a, b, c = dims
+                for z in range(zm + 1):
+                    tail = ctx.item_tail(shape, 0, 0, z)
+                    if prune(used, pk.tail + tail + rest[i + 1]):
                         break
-                    for y in range(0, W - b + 1):
-                        for x in range(0, L - a + 1):
-                            if all(pair_ok(i, (x, y, z), (a, b, c), pi, xyz, dims)
-                                   for (pi, xyz, dims) in same_bin):
-                                placed.append((i, j, k, (x, y, z), (a, b, c)))
-                                loads[j] += mu[i]
-                                dfs(i + 1, max(opened, j), loads,
-                                    o2_partial + Fraction(z + c, m * H))
-                                loads[j] -= mu[i]
-                                placed.pop()
+                    for y in range(ym + 1):
+                        for x in range(xm + 1):
+                            if pk.fits(i, j, dims, x, y, z):
+                                pk.put(i, j, (i, k, x, y, z, x + a, y + b, z + c), tail)
+                                dfs(i + 1, used)
+                                pk.lift(i)
 
-    dfs(0, 0, [0] * (n + 1), Fraction(0))
+    dfs(0, 0)
     elapsed = time.monotonic() - started
     sol = best["solution"]
     if sol is None:

@@ -183,6 +183,58 @@ def oracle_instance(rng: random.Random, with_features: bool = True) -> Instance:
                     eta=eta)
 
 
+def featured_oracle_instance(rng: random.Random, max_items: int = 4,
+                             max_volume: int = 64) -> Instance:
+    """Two to max_items items in one or two bins of volume at most max_volume,
+    with at random a weight cap, eta, a negative and a positive category
+    pair, a CoM target, a favoured pair and an avoided one. Draws that
+    Instance refuses (say, a favour that clashes with eta's avoid triples)
+    are re-rolled."""
+    while True:
+        L, W, H = (rng.randint(1, 4) for _ in range(3))
+        if not 2 <= L * W * H <= max_volume:
+            continue
+        n = rng.randint(1, 2)
+        m = rng.randint(2, max_items)
+        items = tuple(
+            Item(index=i, l=rng.randint(1, 2), w=rng.randint(1, 2), h=rng.randint(1, 2),
+                 mu=rng.randint(1, 6), category=rng.randrange(3))
+            for i in range(m)
+        )
+        cats = sorted({it.category for it in items})
+        max_weight = None
+        if rng.random() < 0.4:
+            total = sum(it.mu for it in items)
+            max_weight = max(it.mu for it in items) + rng.randint(0, total)
+        negative = positive = frozenset()
+        if len(cats) >= 2 and rng.random() < 0.4:
+            negative = frozenset({tuple(sorted(rng.sample(cats, 2)))})
+        if len(cats) >= 2 and rng.random() < 0.4:
+            positive = frozenset({tuple(sorted(rng.sample(cats, 2)))}) - negative
+        eta = Fraction(rng.randint(3, 5), 2) if rng.random() < 0.4 else None
+        com = None
+        if rng.random() < 0.5:
+            com = (Fraction(rng.randint(0, 2 * L), 2), Fraction(rng.randint(0, 3 * W), 3))
+        pairs = [(i, k) for i in range(m) for k in range(i + 1, m)]
+        rng.shuffle(pairs)
+        favour = {(*pairs[0], rng.randint(1, 6))} if rng.random() < 0.3 else set()
+        avoid = set()
+        if len(pairs) >= 2 and rng.random() < 0.4:
+            avoid = {(*pairs[1], q) for q in rng.sample(range(1, 7), rng.randint(1, 3))}
+        try:
+            return Instance(
+                items=items,
+                bin=BinSpec(L=L, W=W, H=H, max_weight=max_weight, n=n),
+                affinities=Affinities(positive=positive, negative=negative),
+                eta=eta,
+                com_target=com,
+                relpos_avoid=frozenset(avoid),
+                relpos_favour=frozenset(favour),
+            )
+        except ValueError:
+            continue
+
+
 def enumerate_feasible(instance: Instance) -> list[PackingSolution]:
     """Every packing the validator accepts, its RelativePosition rule aside,
     by raw product enumeration.

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from binpack3d import (
     Affinities,
@@ -42,7 +42,8 @@ from binpack3d.solver.heuristic import (CANDIDATE_CAP, _Bin, _Ctx, _Packing, _be
                                         _sample_sorted)
 from binpack3d.validate import check, objectives
 
-from helpers import enumerate_feasible, oracle_instance, solvable_instance, subprocess_env
+from helpers import (enumerate_feasible, featured_oracle_instance, oracle_instance,
+                     solvable_instance, subprocess_env)
 
 
 def cubes(count, side=1, mu=1, categories=None):
@@ -827,6 +828,10 @@ class TestFitsManyBoxes:
                                max_size=4, unique_by=lambda t: t[0]))
         # a favoured pair takes no avoid triple, derived or drawn
         avoided = derived | {pair for pair, _ in avoid}
+        # and Instance refuses a pair with all six positions avoided
+        blocked = {(*pair, q) for pair, q in avoid} | (load_bearing_avoid(items, eta)
+                                                      if eta else set())
+        assume(not any({(*pair, q) for q in range(1, 7)} <= blocked for pair in pairs))
         inst = Instance(items=items, bin=BinSpec(L, W, H, n=1), eta=eta,
                         relpos_avoid=frozenset((*pair, q) for pair, q in avoid),
                         relpos_favour=frozenset((*pair, q) for pair, q in favour
@@ -1484,6 +1489,38 @@ class TestOracle:
             all_feasible = enumerate_feasible(inst)
             keys = [objectives(inst, s)[:2] for s in all_feasible]
             assert (best.best.o1, best.best.o2) == min(keys)
+
+    def test_matches_brute_force_with_every_feature(self):
+        # the oracle prunes through the heuristic's admits/fits, so a rule
+        # there that is too strict would hide the optimum from both solvers;
+        # the brute-force enumeration shares no rule with either
+        rng = random.Random(2026)
+        for _ in range(60):
+            inst = featured_oracle_instance(rng, max_items=3, max_volume=8)
+            keys = [objectives(inst, s) for s in enumerate_feasible(inst)
+                    if check(inst, s).feasible]
+            best = solve_oracle(inst).best
+            want = min(((o1, o2, o3 or 0) for o1, o2, o3 in keys), default=None)
+            got = None if best is None else (best.o1, best.o2, best.o3 or 0)
+            assert got == want
+
+
+class TestOracleGolden:
+    """The oracle's exact output, tie-breaks included, on featured instances
+    within the caps with fractional objective weights."""
+
+    DIGEST = "290febfd9352ae5ec7a1689c552940ba40c1d3b80fca8808f45b95ccbed7ca36"
+
+    def test_output_pinned(self):
+        rng = random.Random(20261022)
+        h = hashlib.sha256()
+        for _ in range(40):
+            inst = featured_oracle_instance(rng, *rng.choice(((3, 64), (4, 16))))
+            weights = tuple(Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(3))
+            result = solve_oracle(inst, weights=weights)
+            h.update(repr((result.best, result.energy, result.run_log,
+                           result.infeasible_reason)).encode())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestAnnealer:
