@@ -37,7 +37,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .core import (
     ALL_RELPOS,
@@ -271,12 +271,8 @@ def _plan(instance: Instance, reductions: bool,
 # ---------------------------------------------------------------------------
 # building
 
-def _big_m(q: int, instance: Instance) -> int:
-    if q in (1, 4):
-        return instance.bin.n * instance.bin.L
-    if q in (2, 5):
-        return instance.bin.W
-    return instance.bin.H
+# the axis (0 x, 1 y, 2 z) along which relative position q separates a pair
+_AXIS = {1: 0, 2: 1, 3: 2, 4: 0, 5: 1, 6: 2}
 
 
 def build_model(instance: Instance,
@@ -286,6 +282,7 @@ def build_model(instance: Instance,
     plan = _plan(instance, reductions)
     n, m = instance.n, instance.m
     L, W, H = instance.bin.L, instance.bin.W, instance.bin.H
+    bigs = (n * L, W, H)  # big-M per axis
     w1, w2, w3 = (Fraction(w) for w in weights)
     has_com = instance.com_target is not None
 
@@ -361,18 +358,23 @@ def build_model(instance: Instance,
         expr, scaled_rhs = terms.compile(rhs)
         constraints.append(Constraint(label, expr, sense, scaled_rhs))
 
+    def add_one_hot(label: str, vids: Iterable[int]) -> None:
+        terms = _Terms()
+        for vid in vids:
+            terms.add_linear(vid, 1)
+        add_constraint(label, terms, Sense.EQ, 1)
+
     # orientation uniqueness, one row per non-cube item
     for i, ks in idx.r.items():
-        terms = _Terms()
-        for vid in ks.values():
-            terms.add_linear(vid, 1)
-        add_constraint(f"orientation_{i}", terms, Sense.EQ, 1)
+        add_one_hot(f"orientation_{i}", ks.values())
 
     # pairwise non-overlap, big-M deactivated unless both items share bin j
     for i, k in pairs:
         b_vars = idx.b.get((i, k))
         for q in plan.kept_rows((i, k)):
-            big = _big_m(q, instance)
+            axis = _AXIS[q]
+            big, coord = bigs[axis], coords[axis]
+            front, back = (i, k) if q <= 3 else (k, i)
             for j in range(1, n + 1):
                 terms = _Terms()
                 if n >= 2:
@@ -383,24 +385,16 @@ def build_model(instance: Instance,
                     terms.constant += big
                 else:
                     terms.add_linear(b_vars[q], big)
-                axis = {1: 0, 4: 0, 2: 1, 5: 1, 3: 2, 6: 2}[q]
-                front, back = ((i, k) if q in (1, 2, 3) else (k, i))
-                terms.add_linear(coords[axis][front], 1)
-                add_eff(terms, instance.items[front], axis, 1)
-                terms.add_linear(coords[axis][back], -1)
+                terms.add_linear(coord[front], 1)
+                add_eff(terms, instance.items[front], axis)
+                terms.add_linear(coord[back], -1)
                 add_constraint(f"nonoverlap_{i}_{k}_{q}_{j}", terms, Sense.LE, 2 * big)
         if b_vars is not None:
-            terms = _Terms()
-            for vid in b_vars.values():
-                terms.add_linear(vid, 1)
-            add_constraint(f"relpos_unique_{i}_{k}", terms, Sense.EQ, 1)
+            add_one_hot(f"relpos_unique_{i}_{k}", b_vars.values())
 
     if n >= 2:
         for i in range(m):
-            terms = _Terms()
-            for vid in idx.u[i]:
-                terms.add_linear(vid, 1)
-            add_constraint(f"one_bin_{i}", terms, Sense.EQ, 1)
+            add_one_hot(f"one_bin_{i}", idx.u[i])
         for j in range(1, n + 1):
             terms = _Terms()
             for i in range(m):
@@ -413,42 +407,26 @@ def build_model(instance: Instance,
             terms.add_linear(idx.v[j], -1)
             add_constraint(f"sequential_bins_{j}", terms, Sense.GE, 0)
 
-    # bin boundaries
+    # bin boundaries: coord + eff (+ big * u_ij) <= far end of bin j (+ big),
+    # then on x the near end of bin j
     for item in instance.items:
         i = item.index
-        for j in range(1, n + 1):
-            terms = _Terms()
-            terms.add_linear(idx.x[i], 1)
-            add_eff(terms, item, 0, 1)
-            if n >= 2:
-                terms.add_linear(idx.u[i][j - 1], n * L)
-                add_constraint(f"boundary_x_{i}_{j}", terms, Sense.LE, j * L + n * L)
-            else:
-                add_constraint(f"boundary_x_{i}_{j}", terms, Sense.LE, L)
-        if n >= 2:
-            for j in range(2, n + 1):
+        for axis, (coord, big) in enumerate(zip(coords, bigs)):
+            for j in range(1, n + 1):
                 terms = _Terms()
-                terms.add_linear(idx.x[i], 1)
-                terms.add_linear(idx.u[i][j - 1], -(j - 1) * L)
-                add_constraint(f"boundary_xlo_{i}_{j}", terms, Sense.GE, 0)
-        for j in range(1, n + 1):
-            terms = _Terms()
-            terms.add_linear(idx.y[i], 1)
-            add_eff(terms, item, 1, 1)
-            if n >= 2:
-                terms.add_linear(idx.u[i][j - 1], W)
-                add_constraint(f"boundary_y_{i}_{j}", terms, Sense.LE, 2 * W)
-            else:
-                add_constraint(f"boundary_y_{i}_{j}", terms, Sense.LE, W)
-        for j in range(1, n + 1):
-            terms = _Terms()
-            terms.add_linear(idx.z[i], 1)
-            add_eff(terms, item, 2, 1)
-            if n >= 2:
-                terms.add_linear(idx.u[i][j - 1], H)
-                add_constraint(f"boundary_z_{i}_{j}", terms, Sense.LE, 2 * H)
-            else:
-                add_constraint(f"boundary_z_{i}_{j}", terms, Sense.LE, H)
+                terms.add_linear(coord[i], 1)
+                add_eff(terms, item, axis)
+                far = j * L if axis == 0 else big
+                if n >= 2:
+                    terms.add_linear(idx.u[i][j - 1], big)
+                    far += big
+                add_constraint(f"boundary_{'xyz'[axis]}_{i}_{j}", terms, Sense.LE, far)
+            if axis == 0:
+                for j in range(2, n + 1):
+                    terms = _Terms()
+                    terms.add_linear(coord[i], 1)
+                    terms.add_linear(idx.u[i][j - 1], -(j - 1) * L)
+                    add_constraint(f"boundary_xlo_{i}_{j}", terms, Sense.GE, 0)
 
     # optional rows exist only when bins are selectable (the n=1 size tables
     # carry no overweight/affinity rows: with a single bin they are constants)
@@ -476,25 +454,21 @@ def build_model(instance: Instance,
                 label = "affinity_positive"
             add_constraint(label, terms, Sense.EQ, -len(pos_pairs))
 
+    # load balancing: |in-bin centre - target| <= deviation, on x and on y
     if has_com:
-        lt, wt = instance.com_target
         for item in instance.items:
             i = item.index
-            for sign, suffix in ((1, "plus"), (-1, "minus")):
-                terms = _Terms()
-                terms.add_linear(idx.x[i], sign)
-                add_eff(terms, item, 0, Fraction(sign, 2))
-                if n >= 2:
-                    for j in range(2, n + 1):
-                        terms.add_linear(idx.u[i][j - 1], -sign * (j - 1) * L)
-                terms.add_linear(idx.xt[i], -1)
-                add_constraint(f"loadbal_x_{suffix}_{i}", terms, Sense.LE, sign * lt)
-            for sign, suffix in ((1, "plus"), (-1, "minus")):
-                terms = _Terms()
-                terms.add_linear(idx.y[i], sign)
-                add_eff(terms, item, 1, Fraction(sign, 2))
-                terms.add_linear(idx.yt[i], -1)
-                add_constraint(f"loadbal_y_{suffix}_{i}", terms, Sense.LE, sign * wt)
+            for axis, target, dev in ((0, lt, idx.xt), (1, wt, idx.yt)):
+                for sign, suffix in ((1, "plus"), (-1, "minus")):
+                    terms = _Terms()
+                    terms.add_linear(coords[axis][i], sign)
+                    add_eff(terms, item, axis, Fraction(sign, 2))
+                    if axis == 0:  # x spans every bin: shift bin j back by (j - 1) * L
+                        for j in range(2, n + 1):
+                            terms.add_linear(idx.u[i][j - 1], -sign * (j - 1) * L)
+                    terms.add_linear(dev[i], -1)
+                    add_constraint(f"loadbal_{'xy'[axis]}_{suffix}_{i}", terms, Sense.LE,
+                                   sign * target)
 
     if not reductions:
         # the favoured pairs' six rows first, then the avoided positions

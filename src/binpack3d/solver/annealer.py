@@ -77,7 +77,9 @@ def _decode(model: QuadraticModel, values: list[int]) -> PackingSolution:
 
 
 def _anneal_run(instance: Instance, model: QuadraticModel, rng: random.Random,
-                stop: Stop) -> Optional[list[int]]:
+                stop: Stop) -> tuple[Optional[list[int]], int]:
+    """The best violation-free assignment seen (None if there was none) and
+    the number of moves made."""
     n, m = model.n, model.m
     L = instance.bin.L
     steps = sorted({1, max(1, L // 8), max(1, L // 2)})
@@ -206,7 +208,7 @@ def _anneal_run(instance: Instance, model: QuadraticModel, rng: random.Random,
             pw = min(pw * PENALTY_GROWTH, PENALTY_CAP)
         if iters % REHEAT_INTERVAL == 0:
             temp = INITIAL_TEMPERATURE
-    return best_values
+    return best_values, iters
 
 
 def _prepare(instance: Instance, config: SolverConfig, checkpoints: None
@@ -216,7 +218,10 @@ def _prepare(instance: Instance, config: SolverConfig, checkpoints: None
 
 def _run(prepared: tuple[Instance, QuadraticModel], rng: random.Random, stop: Stop):
     instance, model = prepared
-    values = _anneal_run(instance, model, rng, stop)
+    values, moves = _anneal_run(instance, model, rng, stop)
+    if values is None and not moves:
+        raise NoSolution("annealer made no move: the budget ran out before the first "
+                         "one, and the random start violates the model")
     if values is None:
         raise NoSolution("annealer found no violation-free assignment")
     return _decode(model, values), None

@@ -4,7 +4,6 @@ seeded backends."""
 from __future__ import annotations
 
 import atexit
-import itertools
 import math
 import os
 import random
@@ -166,19 +165,19 @@ def _checked(instance: Instance, r: int, outcome: Any) -> Any:
         return NoSolution(f"run {r} rejected by the validator: {exc}")
 
 
-def _error_payload(job: int, exc: BaseException) -> bytes:
-    """exc pickled as a worker's (job, None, error) message, or a RuntimeError
+def _error_payload(exc: BaseException) -> bytes:
+    """exc pickled as a worker's (None, error) message, or a RuntimeError
     with its traceback text when exc does not survive a pickle round trip."""
     import pickle
     import traceback
 
     try:
-        data = pickle.dumps((job, None, exc))
+        data = pickle.dumps((None, exc))
         pickle.loads(data)
         return data
     except Exception:
         text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-        return pickle.dumps((job, None, RuntimeError(
+        return pickle.dumps((None, RuntimeError(
             f"a run in a worker process raised an exception that cannot be pickled:\n{text}")))
 
 
@@ -207,16 +206,17 @@ def _write(fd: int, data: bytes) -> None:
 
 def _serve(jobs: int, out: int) -> NoReturn:
     """A worker's life, in the forked child: read a job from the jobs pipe,
-    acknowledge it with (job, None, None), prepare, then make the job's runs
-    in its order, sending each (job, r, outcome) to the out pipe once the run
-    has ended and passed through the validator (_checked).
+    acknowledge it with (None, None), prepare, then make the job's runs in
+    its order, sending each (r, outcome) to the out pipe once the run has
+    ended and passed through the validator (_checked). Messages carry no job
+    id: both pipes are FIFO, so the caller tells the jobs apart by counting
+    acknowledgements (_Worker.behind).
     Each run's stop polls the jobs pipe, so a new job or EOF abandons the run
     in progress. EOF ends the worker, and so does an exception, which is sent
-    first as (job, None, error)."""
+    first as (None, error)."""
     import pickle
     import select
 
-    job = None
     try:
         # Ctrl-C reaches the whole process group; the caller handles it
         signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -224,9 +224,9 @@ def _serve(jobs: int, out: int) -> NoReturn:
         poller.register(jobs, select.POLLIN)
         waiting = lambda: bool(poller.poll(0))
         while len(head := _read(jobs, 8)) == 8:
-            job, (prepare, run, instance, config, checkpoints, started, slots), order = \
+            (prepare, run, instance, config, checkpoints, started, slots), order = \
                 pickle.loads(_read(jobs, int.from_bytes(head, "little")))
-            _write(out, _frame(pickle.dumps((job, None, None))))
+            _write(out, _frame(pickle.dumps((None, None))))
             prepared = prepare(instance, config, checkpoints)
             for r in order:
                 try:
@@ -235,10 +235,9 @@ def _serve(jobs: int, out: int) -> NoReturn:
                 except _Taken:
                     break
                 outcome = _checked(instance, r, outcome)
-                _write(out, _frame(pickle.dumps((job, r, outcome))))
+                _write(out, _frame(pickle.dumps((r, outcome))))
     except BaseException as exc:  # also KeyboardInterrupt: the caller raises it
-        if job is not None:
-            _write(out, _frame(_error_payload(job, exc)))
+        _write(out, _frame(_error_payload(exc)))
     finally:
         # never return into the caller's stack
         os._exit(0)
@@ -266,13 +265,15 @@ class _Worker:
         os.close(out_w)
         os.set_blocking(self.jobs, False)
         os.set_blocking(self.out, False)
-        self.buf = bytearray()       # bytes read but not yet unpickled
-        self.sent = self.acked = 0   # the last job sent to it, and acknowledged
-        self.alive = True            # False once it hit EOF or sent a bad message
+        self.buf = bytearray()  # bytes read but not yet unpickled
+        self.behind = 0         # jobs sent to it but not yet acknowledged
+        self.alive = True       # False once it hit EOF or sent a bad message
 
-    def receive(self) -> list[tuple[int, int, Any]]:
-        """The (job, r, outcome) messages that have arrived, without waiting.
-        An acknowledgement only sets acked."""
+    def receive(self) -> list[tuple[Optional[int], Any]]:
+        """The (r, outcome) and (None, error) messages of the last job sent
+        that have arrived, without waiting. An acknowledgement lowers behind;
+        while behind > 0 every other message belongs to an earlier job and is
+        dropped."""
         import pickle
 
         try:
@@ -288,23 +289,27 @@ class _Worker:
             if len(buf) < size:
                 break
             try:
-                job, r, outcome = pickle.loads(buf[8:size])
+                r, outcome = pickle.loads(buf[8:size])
             except Exception:  # not a message a worker writes
                 self.alive = False
                 break
-            del buf[:size]
             if r is None and outcome is None:
-                self.acked = job
-            else:
-                got.append((job, r, outcome))
+                if not self.behind:  # acknowledges a job never sent
+                    self.alive = False
+                    break
+                self.behind -= 1
+            elif not self.behind:
+                got.append((r, outcome))
+            del buf[:size]
         return got
 
-    def send(self, job: int, data: bytes) -> None:
+    def send(self, data: bytes) -> None:
         """Write a job; while its pipe is full, read what the worker sends
         meanwhile (all from earlier jobs), so that neither side blocks the
         other."""
         import select
 
+        self.behind += 1
         view = memoryview(_frame(data))
         while view:
             try:
@@ -312,7 +317,6 @@ class _Worker:
             except BlockingIOError:
                 select.select([self.out], [self.jobs], [])
                 self.receive()
-        self.sent = job
 
     def kill(self) -> None:
         os.close(self.jobs)
@@ -333,7 +337,6 @@ class _Worker:
 # reused by every later solve, and killed by close_pool (at exit, or when a
 # fanned solve raises). Worker i serves slot i + 1.
 _workers: list[_Worker] = []
-_job_ids = itertools.count(1)
 
 
 def close_pool() -> None:
@@ -368,7 +371,7 @@ def _ready(count: int) -> list[_Worker]:
     stale = []
     for w in _workers[:count]:
         w.receive()
-        if not w.alive or w.acked != w.sent:
+        if not w.alive or w.behind:
             stale.append(w)
     for w in stale:
         # out of the list before the next fork, whose _forget closes the list's pipes
@@ -407,9 +410,7 @@ def _fan_out(job: tuple, runs: int, slots: int, hedge: bool) -> list:
         ready, _, _ = select.select(live, [], [], timeout)
         for fd in ready:
             s, w = live[fd]
-            for sent_for, r, outcome in w.receive():
-                if sent_for != jid:
-                    continue
+            for r, outcome in w.receive():
                 if r is None:
                     raise outcome
                 outcomes.setdefault(r, outcome)
@@ -426,9 +427,8 @@ def _fan_out(job: tuple, runs: int, slots: int, hedge: bool) -> list:
 
     try:
         workers = _ready(slots - 1)
-        jid = next(_job_ids)
         for s, w in enumerate(workers, 1):
-            w.send(jid, pickle.dumps((jid, job, _order(s, runs, slots, hedge))))
+            w.send(pickle.dumps((job, _order(s, runs, slots, hedge))))
         live = {w.out: (s, w) for s, w in enumerate(workers, 1)}  # out pipe -> slot, worker
         prepared = prepare(instance, config, checkpoints)
         for r in _order(0, runs, slots, hedge):

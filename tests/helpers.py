@@ -17,7 +17,10 @@ from binpack3d import (
     PackingSolution,
     Placement,
     allowed_orientations,
+    build_model,
     effective_dims,
+    encode_solution,
+    evaluate,
     load_bearing_avoid,
 )
 from binpack3d.model import QuadExpr, QuadraticModel, Sense
@@ -261,6 +264,17 @@ def enumerate_feasible(instance: Instance) -> list[PackingSolution]:
         if all(v.rule == RELATIVE_POSITION for v in check(instance, sol).violations):
             out.append(sol)
     return out
+
+
+def model_flags(instance: Instance, solution: PackingSolution,
+                reductions: bool = True) -> bool:
+    """Whether the model rejects the packing: it does not encode (overlap)
+    or its assignment violates a bound or a row."""
+    try:
+        assignment = encode_solution(instance, solution, reductions=reductions)
+    except ValueError:
+        return True
+    return bool(evaluate(build_model(instance, reductions=reductions), assignment)[1])
 
 
 def reference_evaluate(model: QuadraticModel, assignment

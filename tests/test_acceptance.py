@@ -46,7 +46,8 @@ from binpack3d.fileio import (
 )
 from binpack3d.validate import LOAD_BEARING, RELATIVE_POSITION, check, objectives
 
-from helpers import FEATURES, oracle_instance, random_instance, solvable_instance
+from helpers import (FEATURES, model_flags, oracle_instance, random_instance,
+                     solvable_instance)
 
 
 @contextmanager
@@ -129,16 +130,6 @@ def _perturb_infeasible(rng, inst, sol):
     return PackingSolution(tuple([forced] + placements[1:]))
 
 
-def _model_flags(inst, sol) -> bool:
-    model = build_model(inst)
-    try:
-        assignment = encode_solution(inst, sol)
-    except ValueError:
-        return True
-    _, violations = evaluate(model, assignment)
-    return bool(violations)
-
-
 def test_criterion_2_model_validator_equivalence():
     with criterion(2, "model-validator equivalence"):
         start = time.monotonic()
@@ -154,7 +145,7 @@ def test_criterion_2_model_validator_equivalence():
                 continue
             sol = result.best
             assert check(inst, sol).feasible
-            assert not _model_flags(inst, sol), flags
+            assert not model_flags(inst, sol), flags
             # objective terms agree as exact rationals
             model = build_model(inst)
             terms = objective_breakdown(model, encode_solution(inst, sol))
@@ -170,7 +161,7 @@ def test_criterion_2_model_validator_equivalence():
             if infeasible_done < 100:
                 bad = _perturb_infeasible(rng, inst, sol)
                 assert not check(inst, bad).feasible
-                assert _model_flags(inst, bad)
+                assert model_flags(inst, bad)
                 infeasible_done += 1
         assert infeasible_done == 100
         assert time.monotonic() - start < 60.0

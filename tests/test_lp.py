@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -10,11 +12,15 @@ from binpack3d import (
     BinSpec,
     Instance,
     Item,
+    archetype,
+    audit_counts,
     build_model,
     count_model,
     lp_string,
     solve_oracle,
 )
+
+from helpers import FEATURES, random_instance
 
 
 def two_item_instance(n=1):
@@ -160,3 +166,25 @@ class TestMilpRoundTrip:
         assert res.success
         oracle = solve_oracle(inst)
         assert math.isclose(res.fun + obj_const, float(oracle.energy), abs_tol=1e-9)
+
+
+class TestLpGolden:
+    """The compiler's output, pinned byte for byte: one sha256 over the LP
+    text, the closed-form counts and the audit of both reductions variants
+    on seeded random instances (one to eight items, one to three bins, any
+    subset of FEATURES), then of the reduced model of archetype 12."""
+
+    DIGEST = "561e3dc6e2fc4a8b7d2f9bc60e200f28c002606055d9b611f54bd296b714110f"
+
+    def test_output_pinned(self):
+        rng = random.Random(20261024)
+        cases = [(random_instance(rng, [f for f in FEATURES if rng.random() < 0.5]), r)
+                 for _ in range(40) for r in (True, False)]
+        cases.append((archetype(12, seed=0), True))
+        h = hashlib.sha256()
+        for inst, reductions in cases:
+            model = build_model(inst, reductions=reductions)
+            for text in (lp_string(model), repr(count_model(inst, reductions=reductions)),
+                         repr(audit_counts(model))):
+                h.update(text.encode())
+        assert h.hexdigest() == self.DIGEST

@@ -26,7 +26,8 @@ from binpack3d import (
 )
 from binpack3d.validate import check, objectives
 
-from helpers import FEATURES, random_instance, reference_evaluate, solvable_instance
+from helpers import (FEATURES, model_flags, random_instance, reference_evaluate,
+                     solvable_instance)
 
 
 def distinct_items(dims_list, bin_spec, **inst_kw):
@@ -314,16 +315,6 @@ class TestReductionSoundness:
                 asg = encode_solution(inst, result.best, reductions=reductions)
                 _, violations = evaluate(model, asg)
                 assert violations == [], (trial, reductions)
-
-
-def model_flags(inst: Instance, sol: PackingSolution, reductions: bool) -> bool:
-    """Whether the model rejects the packing: it does not encode (overlap)
-    or its assignment violates a bound or a row."""
-    try:
-        assignment = encode_solution(inst, sol, reductions=reductions)
-    except ValueError:
-        return True
-    return bool(evaluate(build_model(inst, reductions=reductions), assignment)[1])
 
 
 class TestValidatorAgreement:

@@ -1564,6 +1564,27 @@ class TestAnnealer:
         assert violations == []
         assert value == result.energy
 
+    def test_no_move_in_the_budget(self, monkeypatch):
+        """A run that ends before its first move, with a random start that
+        violates the model, says so: with iterations=0, and in time mode
+        when a slowed build_model eats the whole budget."""
+        inst = solvable_instance(random.Random(7), m=6)
+        pin_cpus(monkeypatch, 1)
+        zero = solve_annealer(inst, SolverConfig(backend="annealer", iterations=0, seed=1))
+        build = annealer.build_model
+
+        def slowed(*args):
+            time.sleep(0.3)
+            return build(*args)
+
+        monkeypatch.setattr(annealer, "build_model", slowed)
+        timed = solve_annealer(inst, SolverConfig(backend="annealer", time_limit=0.2, seed=1))
+        for result in (zero, timed):
+            assert result.best is None and result.run_log == ()
+            assert result.infeasible_reason == (
+                "annealer made no move: the budget ran out before the first one, "
+                "and the random start violates the model")
+
     def test_determinism(self):
         inst = Instance(items=cubes(2), bin=BinSpec(2, 2, 2, n=1))
         cfg = SolverConfig(backend="annealer", iterations=3000, seed=7)
