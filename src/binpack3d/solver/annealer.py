@@ -211,8 +211,7 @@ def _anneal_run(instance: Instance, model: QuadraticModel, rng: random.Random,
     return best_values, iters
 
 
-def _prepare(instance: Instance, config: SolverConfig, checkpoints: None
-             ) -> tuple[Instance, QuadraticModel]:
+def _prepare(instance: Instance, config: SolverConfig) -> tuple[Instance, QuadraticModel]:
     return instance, build_model(instance, config.weights)
 
 

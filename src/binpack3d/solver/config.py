@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from numbers import Real
-from typing import Any, Callable, Iterable, NoReturn, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Optional, Union
 
 from ..core import Instance, PackingSolution, _require_ints
 from ..validate import objectives
@@ -137,8 +137,10 @@ def _order(slot: int, runs: int, slots: int, hedge: bool) -> list[int]:
     return own + [r for r in range(runs) if r % slots != slot] if hedge else own
 
 
-# prepare(instance, config, checkpoints) -> prepared, once per solve and slot
-Prepare = Callable[[Instance, SolverConfig, Optional[Sequence[int]]], Any]
+# a backend's set-up: (instance, config) -> prepared, once per solve and
+# slot; anything else its runs need, such as the heuristic's checkpoints, is
+# bound into it (a functools.partial of a module-level function pickles)
+Prepare = Callable[[Instance, SolverConfig], Any]
 # run(prepared, rng, stop) -> (placements, checkpoint energies or None)
 Run = Callable[[Any, random.Random, Stop],
                tuple[PackingSolution, Optional[tuple[Fraction, ...]]]]
@@ -152,17 +154,32 @@ def _outcome(run: Run, prepared: Any, config: SolverConfig, r: int, stop: Stop) 
         return exc
 
 
-def _checked(instance: Instance, r: int, outcome: Any) -> Any:
-    """Run r's outcome with the validator's verdict, taken in the slot that
-    made the run: (placements, checkpoints, (o1, o2, o3)), or a NoSolution
-    that says why the run has none."""
-    if isinstance(outcome, NoSolution):
-        return outcome
-    sol, energies = outcome
-    try:
-        return sol, energies, objectives(instance, sol)
-    except ValueError as exc:
-        return NoSolution(f"run {r} rejected by the validator: {exc}")
+def _runs(job: tuple, order: Iterable[int],
+          taken: Optional[Callable[[int], bool]] = None) -> Iterator[tuple[int, Any]]:
+    """One slot's work on the job (prepare, run, instance, config, start,
+    slots): prepare once, then make each run r of order that taken(r) does
+    not already claim, yielding (r, outcome) as the run ends. The outcome
+    carries the validator's verdict, taken here in the slot that made the
+    run: (placements, checkpoints, (o1, o2, o3)), or a NoSolution that says
+    why the run has none. With taken, the run's stop raises _Taken once
+    taken(r) holds, and the run is dropped unvalidated."""
+    prepare, run, instance, config, started, slots = job
+    prepared = prepare(instance, config)
+    for r in order:
+        if taken and taken(r):
+            continue
+        try:
+            outcome = _outcome(run, prepared, config, r,
+                               _stop(config, started, r // slots, taken and partial(taken, r)))
+        except _Taken:
+            continue
+        if not isinstance(outcome, NoSolution):
+            sol, energies = outcome
+            try:
+                outcome = sol, energies, objectives(instance, sol)
+            except ValueError as exc:
+                outcome = NoSolution(f"run {r} rejected by the validator: {exc}")
+        yield r, outcome
 
 
 def _error_payload(exc: BaseException) -> bytes:
@@ -206,14 +223,14 @@ def _write(fd: int, data: bytes) -> None:
 
 def _serve(jobs: int, out: int) -> NoReturn:
     """A worker's life, in the forked child: read a job from the jobs pipe,
-    acknowledge it with (None, None), prepare, then make the job's runs in
-    its order, sending each (r, outcome) to the out pipe once the run has
-    ended and passed through the validator (_checked). Messages carry no job
-    id: both pipes are FIFO, so the caller tells the jobs apart by counting
-    acknowledgements (_Worker.behind).
-    Each run's stop polls the jobs pipe, so a new job or EOF abandons the run
-    in progress. EOF ends the worker, and so does an exception, which is sent
-    first as (None, error)."""
+    acknowledge it with (None, None), then work on it as a slot (_runs),
+    sending each (r, outcome) to the out pipe as it comes. Messages carry no
+    job id: both pipes are FIFO, so the caller tells the jobs apart by
+    counting acknowledgements (_Worker.behind).
+    A new job or EOF on the jobs pipe claims every run left: the run in
+    progress is abandoned at its next stop, and the rest are skipped. EOF
+    ends the worker, and so does an exception, which is sent first as
+    (None, error)."""
     import pickle
     import select
 
@@ -224,18 +241,10 @@ def _serve(jobs: int, out: int) -> NoReturn:
         poller.register(jobs, select.POLLIN)
         waiting = lambda: bool(poller.poll(0))
         while len(head := _read(jobs, 8)) == 8:
-            (prepare, run, instance, config, checkpoints, started, slots), order = \
-                pickle.loads(_read(jobs, int.from_bytes(head, "little")))
+            job, order = pickle.loads(_read(jobs, int.from_bytes(head, "little")))
             _write(out, _frame(pickle.dumps((None, None))))
-            prepared = prepare(instance, config, checkpoints)
-            for r in order:
-                try:
-                    outcome = _outcome(run, prepared, config, r,
-                                       _stop(config, started, r // slots, waiting))
-                except _Taken:
-                    break
-                outcome = _checked(instance, r, outcome)
-                _write(out, _frame(pickle.dumps((r, outcome))))
+            for message in _runs(job, order, lambda r: waiting()):
+                _write(out, _frame(pickle.dumps(message)))
     except BaseException as exc:  # also KeyboardInterrupt: the caller raises it
         _write(out, _frame(_error_payload(exc)))
     finally:
@@ -384,24 +393,25 @@ def _ready(count: int) -> list[_Worker]:
     return _workers[:count]
 
 
-def _fan_out(job: tuple, runs: int, slots: int, hedge: bool) -> list:
-    """[checked outcome of run r for r in range(runs)] (_checked), spread
-    over slots: slot 0 in the calling process, slot s in worker s - 1, which
-    gets the job (prepare, run, instance, config, checkpoints, start, slots)
-    and prepares for itself in parallel with the caller. Slot s makes
-    _order(s, ...): its own runs s, s + slots, ..., then, with hedge, the
-    others too, so that a slot whose CPU stalls is overtaken; each slot
-    passes the runs it makes through the validator. Only a run whose outcome
-    does not depend on who makes it or when may be hedged. The caller takes
-    each run from whichever slot ends it first, abandoning its own copy (its
-    stop polls the workers). An exception raised in a worker is raised in
-    the caller; any exception kills and reaps every worker before it
-    propagates."""
+def _fan_out(job: tuple) -> list:
+    """[outcome of run r (_runs) for r in range(config.runs)], for the job
+    (prepare, run, instance, config, start, slots), spread over slots:
+    slot 0 in the calling process, slot s in worker s - 1, which gets the
+    job and prepares for itself in parallel with the caller. Slot s makes
+    _order(s, ...): its own runs s, s + slots, ..., then, in iteration mode
+    (the hedge), the others too, so that a slot whose CPU stalls is
+    overtaken. Only a run whose outcome does not depend on who makes it or
+    when may be hedged, and in iteration mode it depends on neither. The
+    caller takes each run from whichever slot ends it first, abandoning its
+    own copy (its stop polls the workers). An exception raised in a worker
+    is raised in the caller; any exception kills and reaps every worker
+    before it propagates."""
     # imported here, so that a solve with one slot never loads them (0.4 MB)
     import pickle
     import select
 
-    prepare, run, instance, config, checkpoints, started, _ = job
+    config, slots = job[3], job[5]
+    runs, hedge = config.runs, config.iterations is not None
     outcomes: dict[int, Any] = {}
 
     def receive(timeout: Optional[float]) -> None:
@@ -430,15 +440,8 @@ def _fan_out(job: tuple, runs: int, slots: int, hedge: bool) -> list:
         for s, w in enumerate(workers, 1):
             w.send(pickle.dumps((job, _order(s, runs, slots, hedge))))
         live = {w.out: (s, w) for s, w in enumerate(workers, 1)}  # out pipe -> slot, worker
-        prepared = prepare(instance, config, checkpoints)
-        for r in _order(0, runs, slots, hedge):
-            if not taken(r):
-                try:
-                    outcome = _outcome(run, prepared, config, r,
-                                       _stop(config, started, r // slots, partial(taken, r)))
-                except _Taken:
-                    continue
-                outcomes[r] = _checked(instance, r, outcome)
+        for r, outcome in _runs(job, _order(0, runs, slots, hedge), taken):
+            outcomes[r] = outcome
         while len(outcomes) < runs:
             receive(None)
         return [outcomes[r] for r in range(runs)]
@@ -447,32 +450,25 @@ def _fan_out(job: tuple, runs: int, slots: int, hedge: bool) -> list:
         raise
 
 
-def run_backend(instance: Instance, config: SolverConfig, prepare: Prepare, run: Run,
-                checkpoints: Optional[Sequence[int]] = None) -> SolveResult:
-    """prepare(instance, config, checkpoints) once per slot, then
+def run_backend(instance: Instance, config: SolverConfig, prepare: Prepare,
+                run: Run) -> SolveResult:
+    """The backend's set-up, prepare, once per slot, then
     run(prepared, rng, stop) -> (placements, checkpoint energies or None)
     config.runs times, spread over W = _slots(runs) processes: slot s does
     runs s, s + W, ..., and in iteration mode then the other slots' runs, as
-    _fan_out says. prepare and run are module-level functions, so that a
-    worker can be sent them. Run r draws from mix_seed(seed, r); in time
+    _fan_out says. prepare and run are module-level functions, or partials
+    of them, so that a worker can be sent them; a backend's checkpoints
+    travel inside its prepare. Run r draws from mix_seed(seed, r); in time
     mode it stops by start + (r // W + 1) * time_limit, start taken before
-    prepare(). Each run's placements pass the validator once, via
-    objectives(), in the slot that made the run, right after it ends; a
-    rejected run, or one raising NoSolution, is dropped. The result is
-    assembled in run order."""
+    the set-up. Every slot works through _runs, so each run's placements
+    pass the validator once, in the slot that made the run, right after it
+    ends; a rejected run, or one raising NoSolution, is dropped. The result
+    is assembled in run order."""
     started = time.monotonic()
     slots = _slots(config.runs)
-    if slots == 1:
-        # one slot validates each run before it starts the next, as a
-        # sequential loop
-        prepared = prepare(instance, config, checkpoints)
-        outcomes: Iterable = (
-            _checked(instance, r, _outcome(run, prepared, config, r, _stop(config, started, r)))
-            for r in range(config.runs))
-    else:
-        # a run's outcome depends on who makes it only through its deadline
-        outcomes = _fan_out((prepare, run, instance, config, checkpoints, started, slots),
-                            config.runs, slots, hedge=config.iterations is not None)
+    job = (prepare, run, instance, config, started, slots)
+    outcomes: Iterable = ((o for _, o in _runs(job, range(config.runs))) if slots == 1
+                          else _fan_out(job))
     best: Optional[PackingSolution] = None
     best_energy: Optional[Fraction] = None
     run_log: list[Fraction] = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, insort
+from functools import partial
 from operator import itemgetter
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -577,70 +578,63 @@ def _move_reinsert(pk: _Packing, rng: random.Random, cap: int, different_bin: bo
     return True
 
 
-# A swap or reorient puts each moved item at a fixed spot of a bin that stays
-# used, so o1 stays and the move is kept only when it lowers the tail. Its
-# trial moves boxes and totals (put/lift) and leaves the corner index, which
-# it never reads, to one reindex on acceptance. With no negative tail rate,
-# the moved items' least tails at their new heights bound the new tail from
-# below, and a move that cannot get under the current tail is not tried.
-# least_tail_at takes what is left of the current tail as its bound, so an
-# orientation that could not be accepted is never checked.
+def _refit(pk: _Packing, moves: Sequence[tuple[int, tuple]]) -> bool:
+    """The fixed-spot trial of a swap or reorient: each (item, pos entry)
+    of moves puts the item at that entry's spot (bin and corner), in its
+    orientation of least tail that fits there; whether the move was kept.
+    The bins stay used, so o1 stays and the move is kept only when it lowers
+    the tail. The trial moves boxes and totals (put/lift) and leaves the
+    corner index, which it never reads, to one reindex on acceptance. With
+    no negative tail rate (tail_floor), an item's tail at height z is at
+    least its floor cz (z + min_c): a move whose floors cannot get under the
+    moved items' current tails is refused before anything moves, and each
+    item's bound is what is left of the current tail less the floors of the
+    items still to place, so an orientation that could not be accepted is
+    never checked. Without tail_floor only the last item is bounded."""
+    ctx = pk.ctx
+    cz, min_c, pos = ctx.cz, ctx.min_c, pk.pos
+    floor = tails = 0
+    # pos entries are (bin, box, tail), and box[4] is z
+    for item, (_, box, _) in moves:
+        floor += cz * (box[4] + min_c[item])
+        tails += pos[item][2]
+    if ctx.tail_floor and floor >= tails:
+        return False
+    before = pk.tail
+    saved = [(item, pk.lift(item)) for item, _ in moves]
+    last = moves[-1][0]
+    for item, (j, box, _) in moves:
+        x, y, z = box[2], box[3], box[4]
+        floor -= cz * (z + min_c[item])  # now the floors of the items still to place
+        bound = before - pk.tail - floor if ctx.tail_floor or item == last else None
+        got = pk.least_tail_at(item, j, x, y, z, bound)
+        if got is None:
+            for done, _ in moves:
+                if done in pos:  # put by this trial
+                    pk.lift(done)
+            for done, entry in saved:
+                pk.put(done, *entry)
+            return False
+        tail, k, (a, b, c) = got
+        pk.put(item, j, (item, k, x, y, z, x + a, y + b, z + c), tail)
+    pk.reindex(saved)
+    return True
+
 
 def _move_swap(pk: _Packing, rng: random.Random, items: Sequence[int]) -> bool:
+    """Each of two items goes to the other's spot."""
     if len(items) < 2:
         return False
     i, o = rng.sample(items, 2)
-    ctx = pk.ctx
-    si, so = pk.pos[i], pk.pos[o]
-    before = pk.tail
-    # each item goes to the other's z (pos entries are (bin, box, tail), box[4] is z)
-    if (ctx.tail_floor and ctx.cz * (so[1][4] + ctx.min_c[i] + si[1][4] + ctx.min_c[o])
-            >= si[2] + so[2]):
-        return False
-    pk.lift(i)
-    pk.lift(o)
-    # the two new tails must sum under before - pk.tail; so, with no negative
-    # rate, i's must be under that less o's least tail at its new height
-    bound = (before - pk.tail - ctx.cz * (si[1][4] + ctx.min_c[o])
-             if ctx.tail_floor else None)
-    placed = []
-    for item, (j, (_, _, x, y, z, *_), _) in ((i, so), (o, si)):
-        got = pk.least_tail_at(item, j, x, y, z, bound)
-        if got is None:
-            break
-        tail, k, (a, b, c) = got
-        pk.put(item, j, (item, k, x, y, z, x + a, y + b, z + c), tail)
-        placed.append(item)
-        bound = before - pk.tail
-    if len(placed) == 2:
-        pk.reindex(((i, si), (o, so)))
-        return True
-    for item in reversed(placed):
-        pk.lift(item)
-    pk.put(i, *si)
-    pk.put(o, *so)
-    return False
+    return _refit(pk, ((i, pk.pos[o]), (o, pk.pos[i])))
 
 
 def _move_reorient(pk: _Packing, rng: random.Random, items: Sequence[int]) -> bool:
+    """An item takes its orientation of least tail at its own spot."""
     item = items[rng.randrange(len(items))]
-    ctx = pk.ctx
-    if len(ctx.shapes[item]) < 2:
+    if len(pk.ctx.shapes[item]) < 2:
         return False
-    saved = pk.pos[item]
-    j, (_, _, x, y, z, *_), old_tail = saved
-    if ctx.tail_floor and ctx.cz * (z + ctx.min_c[item]) >= old_tail:
-        return False
-    pk.lift(item)
-    # the item's tail is the only one that changes
-    best = pk.least_tail_at(item, j, x, y, z, old_tail)
-    if best is not None:
-        tail, k, (a, b, c) = best
-        pk.put(item, j, (item, k, x, y, z, x + a, y + b, z + c), tail)
-        pk.reindex(((item, saved),))
-        return True
-    pk.put(item, *saved)
-    return False
+    return _refit(pk, ((item, pk.pos[item]),))
 
 
 def _local_search(pk: _Packing, rng: random.Random, stop: Stop,
@@ -738,5 +732,6 @@ def solve_heuristic(instance: Instance, config: SolverConfig,
                     checkpoints: Optional[Sequence[int]] = None) -> SolveResult:
     """Construction (block order, built once per solve and copied into each
     run, then up to RESTARTS shuffled orders) plus local search, config.runs
-    times; checkpoints log energies at iterations."""
-    return run_backend(instance, config, _prepare, _run, checkpoints)
+    times; checkpoints log energies at iterations. They reach every slot
+    inside its set-up function, bound by a partial."""
+    return run_backend(instance, config, partial(_prepare, checkpoints=checkpoints), _run)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -305,6 +306,63 @@ class TestRunDriver:
         assert result.best is None and result.energy is None and result.run_log == ()
         assert result.infeasible_reason.startswith("run 1 rejected by the validator")
         assert "Overlap" in result.infeasible_reason
+
+    def test_slot_routine(self, monkeypatch):
+        """config._runs, in this process with a fake prepare and run, as slot
+        work on 6 runs over 2 slots in time mode (time_limit 1, start 10 on
+        a fake clock), in the order 4, 0, 5, 3, 1, 2. It prepares once. Run 5
+        is claimed before it starts and is never made; run 3 is claimed
+        while it is made, so it yields nothing and is not validated. The
+        rest come out in order with their objectives, run 1, whose items
+        overlap, as a NoSolution that names the rule. Run r's stop holds
+        from start + r // 2 + 1 on."""
+        inst = Instance(items=cubes(2), bin=BinSpec(2, 2, 2, n=1))
+
+        def placed(x1):
+            return PackingSolution((Placement(item=0, bin=1, k=1, x=0, y=0, z=0),
+                                    Placement(item=1, bin=1, k=1, x=x1, y=0, z=0)))
+
+        good, overlapping = placed(1), placed(0)
+        scores = objectives(inst, good)
+        checks, prepares, made, claimed, due = [], [], [], {5}, {}
+        original = validate.check
+        monkeypatch.setattr(validate, "check", lambda *a: checks.append(1) or original(*a))
+        now = [0.0]
+        monkeypatch.setattr(config, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+        cfg = SolverConfig(runs=6, time_limit=1.0, seed=0)
+
+        def prepare(instance, cfg):
+            prepares.append(instance)
+            return "prepared"
+
+        def run(prepared, rng, stop):
+            assert prepared == "prepared"
+            r = next(r for r in range(6)
+                     if rng.getstate() == random.Random(config.mix_seed(0, r)).getstate())
+            made.append(r)
+            if r == 3:
+                claimed.add(r)  # another slot sends it meanwhile
+            for half in range(1, 10):
+                now[0] = 10.0 + half / 2
+                if stop(0):
+                    break
+            due[r] = half / 2
+            return (overlapping if r == 1 else good), None
+
+        job = (prepare, run, inst, cfg, 10.0, 2)
+        got = list(config._runs(job, [4, 0, 5, 3, 1, 2], lambda r: r in claimed))
+        assert prepares == [inst]
+        assert made == [4, 0, 3, 1, 2]
+        assert [r for r, _ in got] == [4, 0, 1, 2]
+        assert len(checks) == 4
+        for r, outcome in got:
+            if r == 1:
+                assert isinstance(outcome, NoSolution)
+                assert str(outcome).startswith("run 1 rejected by the validator")
+                assert "Overlap" in str(outcome)
+            else:
+                assert outcome == (good, None, scores)
+        assert due == {4: 3.0, 0: 1.0, 1: 1.0, 2: 2.0}
 
 
 class RunFailed(Exception):
