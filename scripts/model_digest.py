@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Print digests that pin the model compiler's and the solvers' output.
+"""Print digests that pin the model compiler's, the solvers' and the JSON
+writer's output.
 
-Five sections, each a sha256 over canonical text:
+Six sections, each a sha256 over canonical text:
 
 * ``archetypes``: for each of the twelve archetypes (seed 0), the LP text,
   the closed-form counts and the audit of the built model.
@@ -18,6 +19,8 @@ Five sections, each a sha256 over canonical text:
 * ``oracle``: ``solve_oracle`` (best placements, energy, run log and
   infeasibility reason) on a fixed, seeded set of instances within the
   oracle's caps, with fractional objective weights.
+* ``io``: the bytes ``save_instance`` and ``save_solution`` write for each
+  of the heuristic section's instances and solves.
 
 A refactor that must not change output leaves every line the same, so run
 this on the old and the new tree and compare.
@@ -30,7 +33,9 @@ import argparse
 import hashlib
 import json
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from binpack3d import (
     Affinities,
@@ -48,6 +53,7 @@ from binpack3d import (
     solve_heuristic,
     solve_oracle,
 )
+from binpack3d.fileio import save_instance, save_solution
 
 MODEL_INSTANCES = 40
 ORACLE_INSTANCES = 12
@@ -157,16 +163,25 @@ def annealer_digests(instances: int, iterations: int) -> list[tuple[str, object]
     return out
 
 
-def heuristic_digest() -> str:
-    h = hashlib.sha256()
-    for number in range(1, 13):
-        for seed in (0, 1):
-            result = solve_heuristic(archetype(number, seed=seed),
-                                     SolverConfig(iterations=40, seed=seed, runs=2),
-                                     checkpoints=[0, 10, 40])
-            h.update(repr((result.best, result.energy, result.run_log,
-                           result.checkpoint_runs)).encode())
-    return h.hexdigest()
+def heuristic_digests() -> tuple[str, str]:
+    """The heuristic section's digest and the io section's, over the same solves."""
+    h, io = hashlib.sha256(), hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path, sol_path = Path(tmp) / "instance.json", Path(tmp) / "solution.json"
+        for number in range(1, 13):
+            for seed in (0, 1):
+                inst = archetype(number, seed=seed)
+                result = solve_heuristic(inst, SolverConfig(iterations=40, seed=seed, runs=2),
+                                         checkpoints=[0, 10, 40])
+                h.update(repr((result.best, result.energy, result.run_log,
+                               result.checkpoint_runs)).encode())
+                save_instance(inst, inst_path)
+                save_solution(result.best, sol_path, energy=result.energy, solver="heuristic",
+                              seed=seed, iterations=40, run_log=result.run_log,
+                              instance_name=f"archetype_{number:02d}")
+                io.update(inst_path.read_bytes())
+                io.update(sol_path.read_bytes())
+    return h.hexdigest(), io.hexdigest()
 
 
 def oracle_digest() -> str:
@@ -206,8 +221,10 @@ def main() -> int:
     total = hashlib.sha256("".join(digest for digest, _ in results).encode()).hexdigest()
     solved = sum(energy is not None for _, energy in results)
     print(f"annealer   {total} ({solved}/{args.instances} solved)")
-    print(f"heuristic  {heuristic_digest()}")
+    heuristic, io = heuristic_digests()
+    print(f"heuristic  {heuristic}")
     print(f"oracle     {oracle_digest()}")
+    print(f"io         {io}")
     return 0
 
 

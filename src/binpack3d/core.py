@@ -10,8 +10,10 @@ separations left/behind/below/right/front/above.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, filterfalse
 from typing import Iterable, Optional, Union
 
 Rational = Union[int, Fraction]
@@ -191,11 +193,21 @@ class Instance:
                 raise ValueError("com_target must lie within the bin footprint")
             object.__setattr__(self, "com_target", (lt, wt))
 
-        avoid = set(tuple(t) for t in self.relpos_avoid)
-        favour = frozenset(tuple(t) for t in self.relpos_favour)
+        avoid = set(map(tuple, self.relpos_avoid))
+        favour = frozenset(map(tuple, self.relpos_favour))
+        derived: set[tuple[int, int, int]] = set()
         if self.eta is not None:
-            avoid |= load_bearing_avoid(items, self.eta)
-        for tri in list(avoid) + list(favour):
+            derived = load_bearing_avoid(items, self.eta)
+            avoid |= derived
+        # A derived triple is in range and gives its pair one of below/above,
+        # so on its own it never clashes, is favoured twice or blocks all six
+        # positions: only the other triples are checked, in the union's order
+        # (the first bad one is reported), each pair they touch with its
+        # derived bits too. A union no larger than the derived set (a saved
+        # eta instance read back) has no other triples.
+        checked = (list(filterfalse(derived.__contains__, avoid))
+                   if len(avoid) > len(derived) else [])
+        for tri in chain(checked, favour):
             i, k, q = tri
             if not (0 <= i < k < m):
                 raise ValueError(f"relpos triple {tri}: need 0 <= i < k < m")
@@ -203,7 +215,9 @@ class Instance:
                 raise ValueError(f"relpos triple {tri}: q must be in 1..6")
         object.__setattr__(self, "relpos_avoid", frozenset(avoid))
         object.__setattr__(self, "relpos_favour", favour)
-        table = relpos_masks(self)
+        touched = {tri[:2] for tri in chain(checked, favour)}
+        table = _masks(chain(checked, ((i, k, q) for i, k in touched for q in (3, 6)
+                                       if (i, k, q) in derived)), favour)
         clash = sorted(p for p, (allowed, required) in table.items()
                        if required and allowed != ALL_RELPOS)
         if clash:
@@ -232,18 +246,18 @@ class Instance:
 def load_bearing_avoid(items: Iterable[Item], eta: Rational) -> set[tuple[int, int, int]]:
     """Avoid triples induced by the mass-ratio rule for a given eta."""
     eta = Fraction(eta)
-    # weights are positive, so mu_b / mu_a > p / q <=> mu_b q > p mu_a
+    # weights are positive integers, so mu_b / mu_a > p / q <=> mu_b q > p mu_a
+    # <=> mu_b > floor(p mu_a / q): the items that much heavier than one item
+    # are a suffix of the items in weight order
     p, q = eta.numerator, eta.denominator
-    out: set[tuple[int, int, int]] = set()
     items = list(items)
-    for i, a in enumerate(items):
-        for k in range(i + 1, len(items)):
-            b = items[k]
-            if b.mu * q > p * a.mu:
-                out.add((a.index, b.index, 3))  # forbid i below k
-            if a.mu * q > p * b.mu:
-                out.add((a.index, b.index, 6))  # forbid i above k
-    return out
+    order = sorted(range(len(items)), key=lambda pos: items[pos].mu)
+    weights = [items[pos].mu for pos in order]
+    return {(items[light].index, items[heavy].index, 3) if light < heavy  # light below heavy
+            else (items[heavy].index, items[light].index, 6)  # heavy above light
+            for light in order
+            for heavy in order[bisect_right(weights, p * items[light].mu // q):]
+            if heavy != light}
 
 
 def positive_groups(affinities: Affinities, present: Iterable[int]) -> dict[int, int]:
@@ -300,11 +314,17 @@ def relpos_masks(instance: Instance) -> dict[tuple[int, int], tuple[int, int]]:
     that is not avoided holds) and mask & required == required (every
     favoured position holds).
     """
+    return _masks(instance.relpos_avoid, instance.relpos_favour)
+
+
+def _masks(avoid: Iterable[tuple[int, int, int]],
+           favour: Iterable[tuple[int, int, int]]) -> dict[tuple[int, int], tuple[int, int]]:
+    """relpos_masks's table over the given triples."""
     table: dict[tuple[int, int], tuple[int, int]] = {}
-    for i, k, q in instance.relpos_avoid:
+    for i, k, q in avoid:
         allowed, required = table.get((i, k), (ALL_RELPOS, 0))
         table[(i, k)] = (allowed & ~(1 << q), required)
-    for i, k, q in instance.relpos_favour:
+    for i, k, q in favour:
         allowed, required = table.get((i, k), (ALL_RELPOS, 0))
         table[(i, k)] = (allowed, required | 1 << q)
     return table

@@ -12,7 +12,9 @@ import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Union
 
@@ -90,6 +92,10 @@ def _emit(value, newline: str, parts: list[str]) -> None:
                 _emit(value[key], inner, parts)
             parts.append(newline + "}")
         else:
+            rows = _rows(value, inner)
+            if rows is not None:
+                parts.append("[" + inner + rows + newline + "]")
+                return
             parts.append("[" + inner)
             for pos, entry in enumerate(value):
                 if pos:
@@ -98,6 +104,42 @@ def _emit(value, newline: str, parts: list[str]) -> None:
             parts.append(newline + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _rows(entries, newline: str) -> Optional[str]:
+    """The entries of a non-empty list as _emit writes them, each on its own
+    line after newline, through one %-template row: when every entry is a
+    list of ints of one length, or an object of ints with the same str keys.
+    None for any other shape."""
+    kinds = set(map(type, entries))
+    inner = newline + "  "
+    if kinds == {list}:
+        sizes = set(map(len, entries))
+        if len(sizes) != 1:
+            return None
+        row = "[" + inner + ("," + inner).join(["%d"] * sizes.pop()) + newline + "]"
+        values = tuple(chain.from_iterable(entries))
+    elif kinds == {dict}:
+        keysets = set(map(frozenset, entries))
+        if len(keysets) != 1:
+            return None
+        keys = keysets.pop()
+        if not keys or set(map(type, keys)) != {str}:
+            return None
+        fields = sorted(keys)
+        row = "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(key).replace("%", "%%") + ": %d" for key in fields
+        ) + newline + "}"
+        if len(fields) == 1:
+            values = tuple(map(itemgetter(fields[0]), entries))
+        else:
+            values = tuple(chain.from_iterable(map(itemgetter(*fields), entries)))
+    else:
+        return None
+    # %d would write True as 1; empty rows have no values and are refused too
+    if set(map(type, values)) != {int}:
+        return None
+    return ("," + newline).join([row] * len(entries)) % values
 
 
 def _parse(path: PathLike):
@@ -129,9 +171,15 @@ def _require_list(value, what: str) -> list:
 
 def _int_tuples(entries, arity: int, what: str) -> frozenset[tuple[int, ...]]:
     """A JSON list of integer lists, each of length arity, as a set of tuples."""
+    entries = _require_list(entries, what)
+    # JSON numbers parse to int, float or bool; only int is accepted
+    if (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {arity}
+            and set(map(type, chain.from_iterable(entries))) <= {int}):
+        # built as the loop below builds it, so the frozenset iterates in the
+        # same order: Instance reports the first bad triple in that order
+        return frozenset(set(map(tuple, entries)))
     out = set()
-    for entry in _require_list(entries, what):
-        # JSON numbers parse to int, float or bool; only int is accepted
+    for entry in entries:  # words the error
         if (not isinstance(entry, list) or len(entry) != arity
                 or not all(type(v) is int for v in entry)):
             raise ValueError(f"{what}: expected lists of {arity} integers, got {entry!r}")
@@ -182,6 +230,8 @@ def instance_from_dict(doc: dict) -> Instance:
     for pos, item_doc in enumerate(_require_list(doc["items"], "instance.items")):
         _require_keys(item_doc, {"id", "l", "w", "h", "mu", "category"},
                       {"id", "l", "w", "h", "mu", "category"}, f"items[{pos}]")
+        if type(item_doc["id"]) is not int:
+            raise ValueError(f"items[{pos}].id must be an integer, got {item_doc['id']!r}")
         if item_doc["id"] != pos:
             raise ValueError(f"items[{pos}] has id {item_doc['id']}; ids must be 0-based order")
         items.append(Item(index=pos, l=item_doc["l"], w=item_doc["w"],

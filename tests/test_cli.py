@@ -221,6 +221,17 @@ class TestMalformedInstance:
               "affinities": {"positive": [], "negative": []},
               "relpos": {"avoid": [], "favour": [[0, 1, 1], [0, 1, 3]]}},
          "pair (0, 1) is favoured in 2 relative positions"),
+        (("relpos", "avoid"), [[0, 1, True]], "relpos.avoid: expected lists of 3 integers, "
+                                              "got [0, 1, True]"),
+        (("relpos", "favour"), [[0, 1, 2], [0, 1.0, 3]],
+         "relpos.favour: expected lists of 3 integers, got [0, 1.0, 3]"),
+        (("relpos", "avoid"), [[0, 1, 3, 4]], "lists of 3 integers, got [0, 1, 3, 4]"),
+        (("relpos", "avoid"), ["013"], "lists of 3 integers, got '013'"),
+        (("affinities", "negative"), [[0, "1"]],
+         "affinities.negative: expected lists of 2 integers, got [0, '1']"),
+        (("affinities", "positive"), [[0, False]], "lists of 2 integers, got [0, False]"),
+        (("items", 1, "id"), True, "items[1].id must be an integer, got True"),
+        (("items", 1, "id"), 1.0, "items[1].id must be an integer, got 1.0"),
     ])
     def test_solve_exits_2_with_message(self, capsys, tiny_instance, path, value, message):
         """build and solve with each backend refuse the file the same way."""

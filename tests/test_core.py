@@ -18,6 +18,7 @@ from binpack3d import (
     mirror_relpos,
     nonredundant_orientations,
 )
+from binpack3d.fileio import instance_from_dict, instance_to_dict
 
 dims_st = st.integers(min_value=1, max_value=9)
 
@@ -175,9 +176,10 @@ class TestInstanceValidation:
         assert got == {(0, 1, 6)}  # item 0 is the heavy one here
 
     @given(st.lists(st.integers(1, 30), min_size=2, max_size=6),
-           st.fractions(min_value=Fraction(8, 7), max_value=5, max_denominator=7))
+           st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7))
     def test_load_bearing_avoid_matches_ratio_rule(self, weights, eta):
-        """A triple exactly where one weight exceeds eta times the other."""
+        """A triple exactly where one weight exceeds eta times the other, also
+        for an eta <= 1, which Instance refuses (both triples of a pair)."""
         items = tuple(make_item(1, 1, 1, mu=mu, index=i) for i, mu in enumerate(weights))
         want = set()
         for i, a in enumerate(weights):
@@ -188,6 +190,113 @@ class TestInstanceValidation:
                 if Fraction(a, b) > eta:
                     want.add((i, k, 6))
         assert load_bearing_avoid(items, eta) == want
+
+
+def unit_items(weights):
+    return tuple(Item(i, 1, 1, 1, mu, i % 3) for i, mu in enumerate(weights))
+
+
+def reference_outcome(items, eta, avoid, favour):
+    """What Instance makes of the triples, by a full table over every pair:
+    the stored avoid set, or the ValueError text. The union and the favour
+    set are built as Instance builds them, so the first out-of-range triple
+    is the same one."""
+    m = len(items)
+    derived = set()
+    if eta is not None:
+        p, q = eta.numerator, eta.denominator
+        for i in range(m):
+            for k in range(i + 1, m):
+                if items[k].mu * q > p * items[i].mu:
+                    derived.add((i, k, 3))
+                if items[i].mu * q > p * items[k].mu:
+                    derived.add((i, k, 6))
+    union = set(tuple(t) for t in avoid)
+    union |= derived
+    favour = frozenset(tuple(t) for t in favour)
+    for tri in list(union) + list(favour):
+        i, k, q = tri
+        if not (0 <= i < k < m):
+            return f"relpos triple {tri}: need 0 <= i < k < m"
+        if not 1 <= q <= 6:
+            return f"relpos triple {tri}: q must be in 1..6"
+    table = {}
+    for i, k, q in union:
+        allowed, required = table.get((i, k), (0b1111110, 0))
+        table[i, k] = (allowed & ~(1 << q), required)
+    for i, k, q in favour:
+        allowed, required = table.get((i, k), (0b1111110, 0))
+        table[i, k] = (allowed, required | 1 << q)
+    clash = sorted(pr for pr, (allowed, required) in table.items()
+                   if required and allowed != 0b1111110)
+    if clash:
+        return f"pairs in both avoid and favour sets: {clash}"
+    twice = sorted(pr for pr, (_, required) in table.items() if bin(required).count("1") > 1)
+    if twice:
+        return (f"pair {twice[0]} is favoured in {bin(table[twice[0]][1]).count('1')} "
+                "relative positions")
+    blocked = sorted(pr for pr, (allowed, _) in table.items() if not allowed)
+    if blocked:
+        return f"pair {blocked[0]} has all six relative positions avoided"
+    return frozenset(union)
+
+
+class TestEtaInstanceChecks:
+    """Instance checks only the triples eta does not derive, each pair they
+    touch with its derived bits; the messages are those of a check over
+    every triple."""
+
+    @pytest.mark.parametrize("weights,eta,avoid,favour,message", [
+        # favours that clash with derived avoids: (0, 1, 3) and (2, 3, 3)
+        ((1, 5), 2, (), {(0, 1, 1)}, "pairs in both avoid and favour sets: [(0, 1)]"),
+        ((1, 5, 1, 30), 2, (), {(0, 1, 2), (2, 3, 5), (0, 2, 4)},
+         "pairs in both avoid and favour sets: [(0, 1), (2, 3)]"),
+        # five explicit avoids and the derived one block a pair
+        ((1, 5, 1, 30), 2, {(k, k + 1, q) for k in (0, 2) for q in (1, 2, 4, 5, 6)}, (),
+         "pair (0, 1) has all six relative positions avoided"),
+        ((1, 5), 2, {(0, 5, 1)}, (), "relpos triple (0, 5, 1): need 0 <= i < k < m"),
+        ((1, 5), 2, (), {(0, 1, 7)}, "relpos triple (0, 1, 7): q must be in 1..6"),
+        # several out-of-range triples among 57 derived ones: the first in
+        # the union's order is reported
+        ((1, 5, 1, 30, 2, 9, 3, 60, 4, 7, 11, 2), Fraction(3, 2),
+         {(3, 2, 1), (0, 40, 2), (5, 5, 6), (1, 2, 9), (7, 11, 0), (-1, 4, 2)}, (),
+         "relpos triple (7, 11, 0): q must be in 1..6"),
+    ])
+    def test_messages(self, weights, eta, avoid, favour, message):
+        with pytest.raises(ValueError) as exc:
+            Instance(items=unit_items(weights), bin=BinSpec(4, 4, 4, n=1), eta=Fraction(eta),
+                     relpos_avoid=frozenset(avoid), relpos_favour=frozenset(favour))
+        assert str(exc.value) == message
+
+    def test_first_bad_triple_of_a_loaded_file(self):
+        """A file holds the derived triples too; its bad ones, read in the
+        file's order, are reported as before."""
+        base = Instance(items=unit_items((1, 5, 1, 30, 2, 9, 3, 60, 4, 7, 11, 2)),
+                        bin=BinSpec(4, 4, 4, n=1), eta=Fraction(3, 2))
+        doc = instance_to_dict(base)
+        doc["relpos"]["avoid"] = ([[3, 2, 1], [0, 40, 2]] + doc["relpos"]["avoid"]
+                                  + [[5, 5, 6], [1, 2, 9], [7, 11, 0], [-1, 4, 2]])
+        with pytest.raises(ValueError) as exc:
+            instance_from_dict(doc)
+        assert str(exc.value) == "relpos triple (3, 2, 1): need 0 <= i < k < m"
+
+    @given(st.lists(st.integers(1, 40), min_size=2, max_size=7),
+           st.none() | st.fractions(min_value=Fraction(5, 4), max_value=4, max_denominator=4),
+           st.data())
+    def test_matches_full_table(self, weights, eta, data):
+        m = len(weights)
+        index = st.integers(-1, m) if data.draw(st.booleans()) else st.integers(0, m - 1)
+        triple = st.tuples(index, index, st.integers(0, 7) | st.integers(1, 6))
+        avoid = data.draw(st.frozensets(triple, max_size=8))
+        favour = data.draw(st.frozensets(triple, max_size=3))
+        items = unit_items(weights)
+        want = reference_outcome(items, eta, avoid, favour)
+        try:
+            got = Instance(items=items, bin=BinSpec(4, 4, 4, n=1), eta=eta,
+                           relpos_avoid=avoid, relpos_favour=favour).relpos_avoid
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
 
 
 class TestDefaultBinCount:

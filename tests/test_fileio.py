@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from binpack3d import GenSpec, generate
+from binpack3d import GenSpec, SolverConfig, archetype, generate, solve_heuristic
 from binpack3d.core import BinSpec, Instance, Item, PackingSolution, Placement
 from binpack3d.fileio import (
     _dump,
@@ -91,6 +92,16 @@ class TestInstanceFormat:
         with pytest.raises(ValueError, match="ids must be 0-based"):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize("value", [True, 1.0])
+    def test_item_id_must_be_an_integer(self, value):
+        """True == 1 and 1.0 == 1, but an id is an integer like every other field."""
+        doc = instance_to_dict(Instance(items=(Item(0, 1, 1, 1, 1, 0), Item(1, 1, 1, 1, 1, 0)),
+                                        bin=BinSpec(2, 2, 2, n=1)))
+        doc["items"][1]["id"] = value
+        with pytest.raises(ValueError) as exc:
+            instance_from_dict(doc)
+        assert str(exc.value) == f"items[1].id must be an integer, got {value!r}"
+
     def test_n_defaulted_when_absent(self):
         doc = instance_to_dict(Instance(items=(Item(0, 1, 1, 1, 1, 0),),
                                         bin=BinSpec(2, 2, 2, n=1)))
@@ -103,6 +114,26 @@ class TestInstanceFormat:
                         bin=BinSpec(4, 4, 4, n=1), eta=Fraction(2))
         doc = instance_to_dict(inst)
         assert [0, 1, 3] in doc["relpos"]["avoid"]
+
+
+class TestJsonBytesGolden:
+    def test_archetype_instances_and_solutions(self, tmp_path):
+        """Pinned bytes of save_instance on archetypes 1-12 x seeds 0-2 and of
+        save_solution for a 20-iteration heuristic solve of each."""
+        digest = hashlib.sha256()
+        inst_path, sol_path = tmp_path / "i.json", tmp_path / "s.json"
+        for number in range(1, 13):
+            for seed in range(3):
+                inst = archetype(number, seed=seed)
+                save_instance(inst, inst_path)
+                result = solve_heuristic(inst, SolverConfig(iterations=20, seed=seed))
+                save_solution(result.best, sol_path, energy=result.energy,
+                              solver="heuristic", seed=seed, elapsed_s=0.0, iterations=20,
+                              run_log=result.run_log, instance_name=f"a{number}")
+                digest.update(inst_path.read_bytes())
+                digest.update(sol_path.read_bytes())
+        assert digest.hexdigest() == (
+            "6c8f48f24e1ca491cc4809555f42f9a76201bf33c3bfabd9f6393bb2c4ee302b")
 
 
 class TestSolutionFormat:
@@ -158,4 +189,29 @@ class TestDump:
         """The writer's bytes equal json.dumps(doc, indent=2, sort_keys=True)
         and a newline: strings of any code point, every float (NaN and the
         infinities too), empty and nested lists and objects."""
+        assert _dump(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @given(st.data())
+    def test_row_shapes_match_json_dumps(self, data):
+        """Lists of int lists and lists of objects of ints are written through
+        one row template; the shapes near them must be refused and written
+        as json writes them: bools among the ints, negative and huge ints,
+        unequal, empty and tuple rows, objects with differing keys, empty
+        objects and non-int values, keys with %, quotes or non-ASCII."""
+        number = st.integers(-3, 3) | st.integers(-2**70, 2**70)
+        if data.draw(st.booleans()):  # a value the templates refuse, among the ints
+            number |= st.just(data.draw(st.sampled_from([True, False, 1.5, None, "7"])))
+        if data.draw(st.booleans()):
+            width = data.draw(st.integers(0, 4))
+            row = st.lists(number, min_size=width, max_size=width)
+            if data.draw(st.booleans()):  # unequal widths, tuples
+                row |= st.lists(number, max_size=4) | row.map(tuple)
+        else:
+            key = st.text(st.sampled_from('ab%"\\\u00e9\u2603'), max_size=3)
+            keys = data.draw(st.lists(key, max_size=4, unique=True))
+            row = st.fixed_dictionaries({k: number for k in keys})
+            if data.draw(st.booleans()):  # differing keys
+                row |= st.dictionaries(key, number, max_size=3)
+        rows = data.draw(st.lists(row, min_size=1, max_size=5))
+        doc = data.draw(st.sampled_from([rows, {"rows": rows}, [[rows]]]))
         assert _dump(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
